@@ -66,6 +66,8 @@ def _kernel_polynomials(
     joint kernel is extracted with exact rational elimination.  The basis is
     deterministic: one element per free monomial in ascending graded order.
     """
+    if degree < 0:
+        raise GwpaError("degree bound must be nonnegative")
     monos = monomials_up_to(ring, degree)
     rows_map: dict[tuple[int, tuple[int, ...]], list] = {}
     for col, exps in enumerate(monos):
@@ -98,20 +100,14 @@ def constants_basis(A: GWPAData, degree: int) -> CentreComponent:
     return CentreComponent((0,) * A.rank, basis, degree)
 
 
-def centre_component(
-    A: GWPAData, alpha: Sequence[int], degree: int, which: str = "poisson"
-) -> CentreComponent:
+def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreComponent:
     """Coefficients lambda of central elements lambda v_alpha, up to degree.
 
     The conditions, each linear in lambda, are: lambda is killed by every
     defining derivation; {lambda, g} = lambda * sum_i alpha_i p_i(g) for
     every base generator g; and lambda * alpha_i * p_i(a_i) = 0 for every i.
-    ``which`` may be "poisson" or "absolute"; the base rings here are
-    commutative, so the absolute centre coincides with the Poisson one and
-    the flag only labels intent.
+    The base rings here are commutative, so this is also the absolute centre.
     """
-    if which not in ("poisson", "absolute"):
-        raise GwpaError("which must be 'poisson' or 'absolute', got %r" % (which,))
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != A.rank:
         raise GwpaError("degree tuple must have length %d" % A.rank)
@@ -181,6 +177,8 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
     p_i(a_i) over a domain kill all nonzero-degree components.  Otherwise
     the verdict stays undecided and reports the bounds searched.
     """
+    if degree < 0 or alpha_max < 0:
+        raise GwpaError("bounds must be nonnegative")
     zero_alpha = (0,) * A.rank
     comp0 = centre_component(A, zero_alpha, degree)
     for lam in comp0.basis:

@@ -332,6 +332,16 @@ def _cmd_gallery(args) -> tuple[dict, str]:
     return report, text.rstrip("\n")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwpa",
@@ -344,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("source", help="spec file path or gallery name")
         if degree:
             p.add_argument(
-                "--degree", type=int, default=6, help="base degree bound (default 6)"
+                "--degree",
+                type=_nonnegative_int,
+                default=6,
+                help="base degree bound (default 6)",
             )
         if alpha:
             p.add_argument("--alpha", default=None, help=alpha)

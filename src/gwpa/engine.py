@@ -10,19 +10,32 @@ ones.  The Poisson bracket is determined by
     {Y_i, d} = p_i(d) Y_i,   {X_i, d} = -p_i(d) X_i,   {Y_i, X_i} = p_i(a_i)
 
 for d in D, all brackets between generators of different index vanishing.
-Elements are kept in graded normal form at all times.  The bracket of
-arbitrary elements is computed by Leibniz recursion over generator
-factorizations; the closed graded formulas are exposed separately in
-:func:`bracket_oracle_graded` and serve as an independent cross-check only.
+Elements are kept in graded normal form at all times.  The bracket of two
+elements is the bilinear sum of a closed form for each pair of basis terms
+(:func:`_term_bracket`); the one-step graded formulas in
+:func:`bracket_oracle_graded` evaluate the same bracket independently and
+serve as a cross-check only.
+
+The graded normal form is shared with the generalized Weyl algebras of
+:mod:`gwpa.quant`, whose associated graded objects are these Poisson
+algebras: :class:`GradedElement` and :class:`GradedAlgebra` carry the common
+representation, and :func:`_graded_mul` is the one product loop, specialised
+by a twist and a contraction hook on the algebra.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebraMismatchError, GwpaError, ValidationFailure
+from .errors import (
+    AlgebraMismatchError,
+    AmbientMismatchError,
+    GwpaError,
+    ValidationFailure,
+)
 from .poisson import (
     BaseDerivation,
     BasePoissonAlgebra,
@@ -50,8 +63,265 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
+# -- graded normal form --------------------------------------------------------
+
+
+def _accumulate(out: dict, key, poly: Polynomial) -> None:
+    """Add ``poly`` into ``out[key]``, dropping the entry when it cancels."""
+    acc = out.get(key)
+    acc = poly if acc is None else acc + poly
+    if acc.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+class GradedElement:
+    """Element in graded normal form: a map from Z^n degrees alpha to nonzero
+    base polynomial coefficients d, read as the sum of the terms d v_alpha.
+
+    Subclasses supply the product.  Ints, Fractions and base polynomials act
+    as scalars in every operation; a polynomial over another ring raises
+    :class:`AmbientMismatchError`.
+    """
+
+    __slots__ = ("algebra", "_terms")
+
+    def __init__(self, algebra: "GradedAlgebra", terms: Mapping):
+        ring = algebra.base_ring
+        rank = algebra.rank
+        clean: dict[tuple[int, ...], Polynomial] = {}
+        for alpha, poly in dict(terms).items():
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != rank:
+                raise GwpaError("degree tuple %r does not match rank %d" % (alpha, rank))
+            if not isinstance(poly, Polynomial):
+                poly = ring.const(poly)
+            elif poly.ring != ring:
+                raise AmbientMismatchError(ring.variables, poly.ring.variables)
+            if not poly.is_zero:
+                clean[alpha] = poly
+        self.algebra = algebra
+        self._terms = clean
+
+    def _new(self, terms: dict):
+        """An element of the same algebra from a term map in normal form."""
+        element = object.__new__(type(self))
+        element.algebra = self.algebra
+        element._terms = terms
+        return element
+
+    def _operand(self, other):
+        """``other`` as an element of this algebra, NotImplemented if foreign."""
+        if isinstance(other, GradedElement):
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
+                raise AlgebraMismatchError("elements belong to different algebras")
+            return other
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return self.algebra.scalar(other)
+        return NotImplemented
+
+    # -- structure -------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> dict[tuple[int, ...], Polynomial]:
+        return dict(self._terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def support(self) -> list[tuple[int, ...]]:
+        return sorted(self._terms, key=lambda a: (sum(map(abs, a)), tuple(-x for x in a)))
+
+    def coefficient(self, alpha: Sequence[int]) -> Polynomial:
+        return self._terms.get(tuple(alpha), self.algebra.base_ring.zero())
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self._terms)
+        for alpha, poly in other._terms.items():
+            _accumulate(out, alpha, poly)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({alpha: -poly for alpha, poly in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, exponent: int):
+        """Nonnegative integer powers, by repeated squaring."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise GwpaError("element powers must be nonnegative integers")
+        result = self.algebra.one()
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return result
+
+    # -- comparison and rendering -------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedElement):
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.algebra == other.algebra and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((self.algebra, frozenset(self._terms.items())))
+
+    def __str__(self):
+        return render_element(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+_GENERATOR_NAME = re.compile(r"[XY][0-9]+")
+
+
+class GradedAlgebra:
+    """Element constructors shared by the Poisson and quantized algebras.
+
+    A subclass provides ``rank``, ``base_ring``, the ``element_type`` it
+    builds, and the two product hooks read by :func:`_graded_mul`:
+    ``apply_sigma_alpha(alpha, poly)``, the twist of a coefficient moved
+    past v_alpha, and ``contraction_factor(i, p, q)``, the base factor left
+    in coordinate i when v_p meets v_q.
+    """
+
+    @staticmethod
+    def _check_base_names(ring: PolyRing) -> None:
+        """Reject base variables that would read as a generator X_i or Y_i."""
+        for name in ring.variables:
+            if _GENERATOR_NAME.fullmatch(name):
+                raise GwpaError(
+                    "base variable %r clashes with the generator names Xi, Yi"
+                    % name
+                )
+
+    @property
+    def zero_alpha(self) -> tuple[int, ...]:
+        return (0,) * self.rank
+
+    def element(self, terms: Mapping[tuple[int, ...], Polynomial]):
+        return self.element_type(self, terms)
+
+    def zero(self):
+        return self.element_type(self, {})
+
+    def one(self):
+        return self.scalar(1)
+
+    def scalar(self, value):
+        """Image of a base polynomial (or rational constant) in the algebra."""
+        return self.element_type(self, {self.zero_alpha: value})
+
+    def v(self, alpha: Sequence[int]):
+        """The graded basis monomial of the given degree, coefficient one."""
+        return self.element_type(self, {tuple(alpha): self.base_ring.one()})
+
+    def X(self, i: int):
+        return self.v(self._unit(i, 1))
+
+    def Y(self, i: int):
+        return self.v(self._unit(i, -1))
+
+    def _unit(self, i: int, sign: int) -> tuple[int, ...]:
+        if not 1 <= i <= self.rank:
+            raise GwpaError("generator index %d out of range 1..%d" % (i, self.rank))
+        return tuple(sign if j == i - 1 else 0 for j in range(self.rank))
+
+
+def _graded_mul(A: GradedAlgebra, left: dict, right: dict) -> dict:
+    """Product of two term maps in graded normal form.
+
+    Moving a coefficient e left past v_alpha twists it to sigma_alpha(e).
+    Per coordinate, opposite X and Y powers annihilate into a base factor:
+    a_i^min(|p|, |q|) in a Poisson algebra, a product of shifted parameters
+    in a generalized Weyl algebra.
+    """
+    twist = A.apply_sigma_alpha
+    contract = A.contraction_factor
+    out: dict[tuple[int, ...], Polynomial] = {}
+    for alpha, d in left.items():
+        for beta, e in right.items():
+            coeff = d * twist(alpha, e)
+            for i, (p, q) in enumerate(zip(alpha, beta)):
+                if p and q and (p > 0) != (q > 0):
+                    coeff = coeff * contract(i, p, q)
+            _accumulate(out, tuple(p + q for p, q in zip(alpha, beta)), coeff)
+    return out
+
+
+# -- the Poisson algebra -------------------------------------------------------
+
+
+class GWPAElement(GradedElement):
+    """Element of a generalized Weyl Poisson algebra."""
+
+    __slots__ = ()
+
+    def component(self, alpha: Sequence[int]) -> "GWPAElement":
+        return self.algebra.element({tuple(alpha): self.coefficient(alpha)})
+
+    @property
+    def total_degree(self):
+        """Filtration weight: coefficient degree plus sum of |alpha_i|."""
+        if not self._terms:
+            return NEG_INF
+        return max(
+            sum(abs(x) for x in alpha) + poly.total_degree
+            for alpha, poly in self._terms.items()
+        )
+
+    def scaled(self, factor) -> "GWPAElement":
+        """Multiply every coefficient by a base polynomial or rational."""
+        return GWPAElement(
+            self.algebra, {a: p * factor for a, p in self._terms.items()}
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return self.scaled(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(_graded_mul(self.algebra, self._terms, other._terms))
+
+    def bracket(self, other: "GWPAElement") -> "GWPAElement":
+        """Poisson bracket, summed over pairs of basis terms."""
+        operand = self._operand(other)
+        if operand is NotImplemented:
+            raise GwpaError("cannot take a bracket with %r" % (other,))
+        return self._new(_bracket_pairs(self.algebra, self._terms, operand._terms))
+
+
 @dataclass(frozen=True)
-class GWPAData:
+class GWPAData(GradedAlgebra):
     """Defining data of a generalized Weyl Poisson algebra.
 
     Construction checks only shapes; run :func:`validate_gwpa` (or build via
@@ -62,9 +332,12 @@ class GWPAData:
     a: tuple[Polynomial, ...]
     partials: tuple[BaseDerivation, ...]
 
+    element_type = GWPAElement
+
     def __post_init__(self):
         if len(self.a) != len(self.partials) or not self.a:
             raise GwpaError("need equally many parameters and derivations, at least one")
+        self._check_base_names(self.base.ring)
         for poly in self.a:
             if poly.ring != self.base.ring:
                 raise GwpaError("parameter polynomial lives over a different ring")
@@ -90,9 +363,6 @@ class GWPAData:
     def base_ring(self) -> PolyRing:
         return self.base.ring
 
-    def zero_alpha(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def a_power(self, i: int, m: int) -> Polynomial:
         """Cached m-th power of the zero-based i-th parameter."""
         key = (i, m)
@@ -101,41 +371,17 @@ class GWPAData:
             cache[key] = self.a[i] ** m
         return cache[key]
 
-    # -- element constructors ------------------------------------------
+    def apply_sigma_alpha(self, alpha, poly: Polynomial) -> Polynomial:
+        """Coefficients commute with v_alpha: the twist is the identity."""
+        return poly
 
-    def element(self, terms: Mapping[tuple[int, ...], Polynomial]) -> "GWPAElement":
-        return GWPAElement(self, terms)
+    def contraction_factor(self, i: int, p: int, q: int) -> Polynomial:
+        """The coefficient produced in coordinate i when v_p meets v_q."""
+        if p and q and (p > 0) != (q > 0):
+            return self.a_power(i, min(abs(p), abs(q)))
+        return self.base_ring.one()
 
-    def zero(self) -> "GWPAElement":
-        return GWPAElement(self, {})
-
-    def one(self) -> "GWPAElement":
-        return GWPAElement(self, {self.zero_alpha(): self.base_ring.one()})
-
-    def scalar(self, value) -> "GWPAElement":
-        """Image of a base polynomial (or rational constant) in the algebra."""
-        if isinstance(value, Polynomial):
-            if value.ring != self.base_ring:
-                raise GwpaError("scalar lives over a different ring")
-            poly = value
-        else:
-            poly = self.base_ring.const(value)
-        return GWPAElement(self, {self.zero_alpha(): poly})
-
-    def v(self, alpha: Sequence[int]) -> "GWPAElement":
-        """The graded basis monomial of the given degree, coefficient one."""
-        alpha = tuple(int(x) for x in alpha)
-        if len(alpha) != self.rank:
-            raise GwpaError("degree tuple must have length %d" % self.rank)
-        return GWPAElement(self, {alpha: self.base_ring.one()})
-
-    def X(self, i: int) -> "GWPAElement":
-        return self.v(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
-
-    def Y(self, i: int) -> "GWPAElement":
-        return self.v(tuple(-1 if j == i - 1 else 0 for j in range(self.rank)))
-
-    def generators(self) -> list["GWPAElement"]:
+    def generators(self) -> list[GWPAElement]:
         """X_i, Y_i and the base variables, in a fixed order."""
         gens = []
         for i in range(1, self.rank + 1):
@@ -211,165 +457,6 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
     return ValidationReport(ok, tuple(violations))
 
 
-class GWPAElement:
-    """Element in graded normal form: a map from Z^n degrees to base
-    polynomial coefficients."""
-
-    __slots__ = ("algebra", "_terms")
-
-    def __init__(self, algebra: GWPAData, terms: Mapping[tuple[int, ...], Polynomial]):
-        clean: dict[tuple[int, ...], Polynomial] = {}
-        rank = algebra.rank
-        for alpha, poly in terms.items():
-            if len(alpha) != rank:
-                raise GwpaError("degree tuple %r does not match rank %d" % (alpha, rank))
-            if poly.ring != algebra.base_ring:
-                raise GwpaError("coefficient lives over a different ring")
-            if not poly.is_zero:
-                clean[tuple(alpha)] = poly
-        self.algebra = algebra
-        self._terms = clean
-
-    # -- structure -------------------------------------------------------
-
-    def terms(self) -> dict[tuple[int, ...], Polynomial]:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms, key=_degree_sort_key)
-
-    def coefficient(self, alpha: Sequence[int]) -> Polynomial:
-        return self._terms.get(tuple(alpha), self.algebra.base_ring.zero())
-
-    def component(self, alpha: Sequence[int]) -> "GWPAElement":
-        alpha = tuple(alpha)
-        if alpha in self._terms:
-            return GWPAElement(self.algebra, {alpha: self._terms[alpha]})
-        return self.algebra.zero()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def total_degree(self):
-        """Filtration weight: coefficient degree plus sum of |alpha_i|."""
-        if not self._terms:
-            return NEG_INF
-        return max(
-            sum(abs(x) for x in alpha) + poly.total_degree
-            for alpha, poly in self._terms.items()
-        )
-
-    def _check(self, other: "GWPAElement"):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError(
-                "elements belong to different algebras: %r and %r"
-                % (self.algebra, other.algebra)
-            )
-
-    # -- linear operations ------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, GWPAElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for alpha, poly in other._terms.items():
-            acc = out.get(alpha)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = acc
-        return GWPAElement(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GWPAElement(self.algebra, {a: -p for a, p in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, GWPAElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scaled(self, factor) -> "GWPAElement":
-        """Multiply every coefficient by a base polynomial or rational."""
-        return GWPAElement(
-            self.algebra, {a: p * factor for a, p in self._terms.items()}
-        )
-
-    # -- multiplication ----------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self.scaled(other)
-        if not isinstance(other, GWPAElement):
-            return NotImplemented
-        self._check(other)
-        return GWPAElement(self.algebra, _mul_raw(self.algebra, self._terms, other._terms))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise GwpaError("element powers must be nonnegative integers")
-        result = self.algebra.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def bracket(self, other: "GWPAElement", strategy: str = "pairs") -> "GWPAElement":
-        """Poisson bracket, by Leibniz recursion over factorizations.
-
-        ``strategy`` selects the recursion shape: ``pairs`` expands the
-        double Leibniz sum over atom pairs, ``split`` recurses by halving
-        the factor words.  Both must agree; the second exists so tests can
-        confirm the bracket is independent of the factorization order.
-        """
-        self._check(other)
-        if strategy == "pairs":
-            raw = _bracket_pairs(self.algebra, self._terms, other._terms)
-        elif strategy == "split":
-            raw = _bracket_split(self.algebra, self._terms, other._terms)
-        else:
-            raise GwpaError("unknown bracket strategy %r" % strategy)
-        return GWPAElement(self.algebra, raw)
-
-    # -- comparison and rendering -------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, GWPAElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self._terms == other._terms
-
-    def __str__(self):
-        return render_element(self)
-
-    def __repr__(self):
-        return "GWPAElement(%s)" % self
-
-
-def _degree_sort_key(alpha: tuple[int, ...]):
-    return (sum(abs(x) for x in alpha), tuple(-x for x in alpha))
-
-
 def generator_label(alpha: tuple[int, ...]) -> str:
     """X part then Y part of a degree, e.g. ``X1^2*Y2``; empty for zero."""
     xs = []
@@ -416,111 +503,10 @@ def render_element(u: GWPAElement) -> str:
     return " ".join(out)
 
 
-# -- multiplication core -----------------------------------------------------
-
-
-def _mul_raw(A: GWPAData, t1, t2) -> dict:
-    """Product of two term maps in graded normal form.
-
-    Per coordinate, opposite X and Y powers annihilate into a factor of the
-    corresponding parameter: the overlap min(p, q) of an X^p against a Y^q
-    becomes a_i^min(p,q).
-    """
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for alpha, d in t1.items():
-        for beta, e in t2.items():
-            coeff = d * e
-            for i, (x, y) in enumerate(zip(alpha, beta)):
-                if (x > 0 and y < 0) or (x < 0 and y > 0):
-                    m = min(abs(x), abs(y))
-                    coeff = coeff * A.a_power(i, m)
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            acc = out.get(gamma)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                out.pop(gamma, None)
-            else:
-                out[gamma] = acc
-    return out
-
-
-def _add_raw(A: GWPAData, target: dict, extra: dict, factor=None):
-    for alpha, poly in extra.items():
-        if factor is not None:
-            poly = poly * factor
-        acc = target.get(alpha)
-        acc = poly if acc is None else acc + poly
-        if acc.is_zero:
-            target.pop(alpha, None)
-        else:
-            target[alpha] = acc
-
-
 # -- bracket core -------------------------------------------------------------
 
-# Atoms are ("c", polynomial) for base coefficients and ("X", i) / ("Y", i)
-# with zero-based index for single generators.
-
-
-def _atoms_of(A: GWPAData, alpha: tuple[int, ...], coeff: Polynomial) -> list:
-    atoms = []
-    if not coeff.is_constant or coeff.constant_value() != 1:
-        atoms.append(("c", coeff))
-    for i, x in enumerate(alpha):
-        if x > 0:
-            atoms.extend([("X", i)] * x)
-        elif x < 0:
-            atoms.extend([("Y", i)] * (-x))
-    return atoms
-
-
-def _atom_term(A: GWPAData, atom) -> dict:
-    kind, payload = atom
-    if kind == "c":
-        return {A.zero_alpha(): payload}
-    alpha = [0] * A.rank
-    alpha[payload] = 1 if kind == "X" else -1
-    return {tuple(alpha): A.base_ring.one()}
-
-
-def _atom_bracket(A: GWPAData, left, right) -> dict | None:
-    """Bracket of two atoms as a raw term map, None when it vanishes."""
-    lk, lp = left
-    rk, rp = right
-    ring = A.base_ring
-    if lk == "c" and rk == "c":
-        poly = A.base.bracket(lp, rp)
-        if poly.is_zero:
-            return None
-        return {A.zero_alpha(): poly}
-    if lk == "c":
-        der = A.partials[rp](lp)
-        if der.is_zero:
-            return None
-        sign = 1 if rk == "X" else -1
-        alpha = [0] * A.rank
-        alpha[rp] = 1 if rk == "X" else -1
-        return {tuple(alpha): der * sign}
-    if rk == "c":
-        der = A.partials[lp](rp)
-        if der.is_zero:
-            return None
-        sign = -1 if lk == "X" else 1
-        alpha = [0] * A.rank
-        alpha[lp] = 1 if lk == "X" else -1
-        return {tuple(alpha): der * sign}
-    if lp != rp or lk == rk:
-        return None
-    poly = A.partials[lp](A.a[lp])
-    if poly.is_zero:
-        return None
-    if lk == "X":  # {X_i, Y_i} = -p_i(a_i)
-        poly = -poly
-    return {A.zero_alpha(): poly}
-
-
 def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
-    """Closed form for one basis term pair, {d v_alpha, e v_beta}.
+    """Coefficient of the bracket of one basis term pair, {d v_alpha, e v_beta}.
 
     Both slots are derivations over the factor decomposition, which collapses
     to base-ring data: with P the product of overlap powers a_j^{m_j},
@@ -560,10 +546,7 @@ def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
                         if pj and qj and (pj > 0) != (qj > 0):
                             piece = piece * A.a_power(j, min(abs(pj), abs(qj)))
                 total = total + piece
-    if total.is_zero:
-        return None
-    gamma = tuple(p + q for p, q in zip(alpha, beta))
-    return gamma, total
+    return total
 
 
 def _bracket_pairs(A: GWPAData, t1, t2) -> dict:
@@ -571,58 +554,8 @@ def _bracket_pairs(A: GWPAData, t1, t2) -> dict:
     out: dict = {}
     for alpha, d in t1.items():
         for beta, e in t2.items():
-            found = _term_bracket(A, alpha, d, beta, e)
-            if found is None:
-                continue
-            gamma, poly = found
-            existing = out.get(gamma)
-            poly = poly if existing is None else existing + poly
-            if poly.is_zero:
-                out.pop(gamma, None)
-            else:
-                out[gamma] = poly
-    return out
-
-
-def _bracket_words(A: GWPAData, left: list, right: list) -> dict:
-    """Leibniz recursion by halving words; used as the alternate strategy."""
-    if not left or not right:
-        return {}
-    if len(left) == 1 and len(right) == 1:
-        found = _atom_bracket(A, left[0], right[0])
-        return {} if found is None else dict(found)
-    out: dict = {}
-    if len(left) > 1:
-        mid = len(left) // 2
-        head, tail = left[:mid], left[mid:]
-        head_term = _word_product(A, head)
-        tail_term = _word_product(A, tail)
-        _add_raw(A, out, _mul_raw(A, head_term, _bracket_words(A, tail, right)))
-        _add_raw(A, out, _mul_raw(A, _bracket_words(A, head, right), tail_term))
-    else:
-        mid = len(right) // 2
-        head, tail = right[:mid], right[mid:]
-        head_term = _word_product(A, head)
-        tail_term = _word_product(A, tail)
-        _add_raw(A, out, _mul_raw(A, _bracket_words(A, left, head), tail_term))
-        _add_raw(A, out, _mul_raw(A, head_term, _bracket_words(A, left, tail)))
-    return out
-
-
-def _word_product(A: GWPAData, atoms: list) -> dict:
-    term = {A.zero_alpha(): A.base_ring.one()}
-    for atom in atoms:
-        term = _mul_raw(A, term, _atom_term(A, atom))
-    return term
-
-
-def _bracket_split(A: GWPAData, t1, t2) -> dict:
-    out: dict = {}
-    for alpha, d in t1.items():
-        atoms_u = _atoms_of(A, alpha, d)
-        for beta, e in t2.items():
-            atoms_v = _atoms_of(A, beta, e)
-            _add_raw(A, out, _bracket_words(A, atoms_u, atoms_v))
+            gamma = tuple(p + q for p, q in zip(alpha, beta))
+            _accumulate(out, gamma, _term_bracket(A, alpha, d, beta, e))
     return out
 
 
@@ -631,9 +564,9 @@ def gwpa_mul(u: GWPAElement, v: GWPAElement) -> GWPAElement:
     return u * v
 
 
-def gwpa_bracket(u: GWPAElement, v: GWPAElement, strategy: str = "pairs") -> GWPAElement:
+def gwpa_bracket(u: GWPAElement, v: GWPAElement) -> GWPAElement:
     """Poisson bracket of two elements."""
-    return u.bracket(v, strategy=strategy)
+    return u.bracket(v)
 
 
 def bracket_oracle_graded(A: GWPAData, first, lam: Polynomial, alpha: Sequence[int]) -> GWPAElement:
@@ -645,8 +578,8 @@ def bracket_oracle_graded(A: GWPAData, first, lam: Polynomial, alpha: Sequence[i
 
     or a single generator X_i or Y_i (as a GWPAElement), using the one-step
     shift formula with its sign and correction cases.  This evaluates the
-    formulas directly, with no Leibniz recursion, and exists to cross-check
-    :meth:`GWPAElement.bracket`.
+    formulas directly, without the term-pair closed form, and exists to
+    cross-check :meth:`GWPAElement.bracket`.
     """
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != A.rank:

@@ -195,7 +195,6 @@ def _parse_in_algebra(text: str, algebra):
                     text,
                     where,
                 )
-            for _ in range(power):
-                piece = piece * atoms[name]
+            piece = piece * atoms[name] ** power
         total = total + piece
     return total

@@ -410,20 +410,15 @@ def _monomial_string(variables: Sequence[str], exps: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def coeff_string(value: Coeff) -> str:
-    """Canonical rendering of a rational coefficient, ``p`` or ``p/q``."""
-    return str(value)
-
-
 def term_string(variables: Sequence[str], exps: tuple[int, ...], coeff: Coeff) -> str:
     """Render one term without a leading sign, e.g. ``2*H^2`` or ``H``."""
     mono = _monomial_string(variables, exps)
     mag = -coeff if coeff < 0 else coeff
     if not mono:
-        return coeff_string(mag)
+        return str(mag)
     if mag == 1:
         return mono
-    return "%s*%s" % (coeff_string(mag), mono)
+    return "%s*%s" % (mag, mono)
 
 
 def render_polynomial(poly: Polynomial) -> str:

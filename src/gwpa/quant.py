@@ -3,13 +3,15 @@
 A generalized Weyl algebra over the polynomial base ring is assembled from
 commuting affine substitutions s_1..s_n and central parameters a_1..a_n.
 Multiplication twists coefficients past the generators, X_i d = s_i(d) X_i,
-and opposite generators contract through shifted parameters.  Variable
-weights induce a filtration once every substitution moves each variable by
-terms of strictly smaller weight; the associated graded object is then a
-Poisson algebra of the kind built in :mod:`gwpa.engine`, with bracket read
-off from the leading discrepancy of the substitutions.  The correspondence
-check compares graded commutators against that predicted bracket on supplied
-element pairs.
+and opposite generators contract through shifted parameters.  Elements share
+the graded normal form and the product loop of :mod:`gwpa.engine`; these two
+rules enter it as :meth:`GWAData.apply_sigma_alpha` and
+:meth:`GWAData.contraction_factor`.  Variable weights induce a filtration
+once every substitution moves each variable by terms of strictly smaller
+weight; the associated graded object is then a Poisson algebra of the kind
+built in :mod:`gwpa.engine`, with bracket read off from the leading
+discrepancy of the substitutions.  The correspondence check compares graded
+commutators against that predicted bracket on supplied element pairs.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import (
+    GradedAlgebra,
+    GradedElement,
     GWPAData,
     GWPAElement,
-    render_element,
-    _degree_sort_key,
+    _graded_mul,
 )
 from .errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
 from .linalg import rref
 from .poisson import BaseDerivation, BasePoissonAlgebra
-from .poly import NEG_INF, Polynomial, PolyRing, normalize_coeff
+from .poly import NEG_INF, Polynomial, PolyRing
 
 
 class AffineSubstitution:
@@ -129,7 +132,54 @@ class AffineSubstitution:
         return "AffineSubstitution(%s)" % parts
 
 
-class GWAData:
+class GWAElement(GradedElement):
+    """An element with polynomial coefficients written to the left of v."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(_graded_mul(self.algebra, self._terms, other._terms))
+
+    def commutator(self, other: "GWAElement") -> "GWAElement":
+        operand = self._operand(other)
+        if operand is NotImplemented:
+            raise GwpaError("cannot take a commutator with %r" % (other,))
+        return self * operand - operand * self
+
+    @property
+    def degree(self):
+        """Filtration degree; NEG_INF for the zero element."""
+        if not self._terms:
+            return NEG_INF
+        return max(
+            self.algebra.term_degree(alpha, poly)
+            for alpha, poly in self._terms.items()
+        )
+
+    def homogeneous_part(self, target) -> "GWAElement":
+        """The slice of exact filtration degree ``target``."""
+        A = self.algebra
+        out = {}
+        for alpha, poly in self._terms.items():
+            weight = sum(d * abs(k) for d, k in zip(A.degrees, alpha))
+            coefficient_degree = Fraction(target) - Fraction(weight, 2)
+            if coefficient_degree.denominator != 1 or coefficient_degree < 0:
+                continue
+            piece = poly.weighted_component(A.weights, int(coefficient_degree))
+            if not piece.is_zero:
+                out[alpha] = piece
+        return self._new(out)
+
+    def leading_part(self) -> "GWAElement":
+        if not self._terms:
+            return self
+        return self.homogeneous_part(self.degree)
+
+
+class GWAData(GradedAlgebra):
     """Defining data of a generalized Weyl algebra with a weight filtration.
 
     ``weights`` assigns a positive weight to each base variable, ``degrees``
@@ -138,7 +188,10 @@ class GWAData:
     weighted degree at most weight minus ``nu``.
     """
 
+    element_type = GWAElement
+
     def __init__(self, ring: PolyRing, sigmas, a, weights, degrees, nu: int = 1):
+        self._check_base_names(ring)
         sigmas = tuple(sigmas)
         a = tuple(a)
         weights = tuple(int(w) for w in weights)
@@ -207,10 +260,6 @@ class GWAData:
     def base_ring(self) -> PolyRing:
         return self.ring
 
-    @property
-    def zero_alpha(self):
-        return tuple(0 for _ in range(self.rank))
-
     def __eq__(self, other):
         if not isinstance(other, GWAData):
             return NotImplemented
@@ -252,6 +301,7 @@ class GWAData:
         return self._alpha_maps[alpha]
 
     def apply_sigma_alpha(self, alpha, poly: Polynomial) -> Polynomial:
+        """Twist of a coefficient moved left past v_alpha: sigma_alpha(poly)."""
         if all(k == 0 for k in alpha) or poly.is_zero or poly.is_constant:
             return poly
         total = self.ring.zero()
@@ -293,34 +343,6 @@ class GWAData:
             self._factors[key] = value
         return self._factors[key]
 
-    # -- element constructors ------------------------------------------------
-
-    def element(self, terms) -> "GWAElement":
-        return GWAElement(self, terms)
-
-    def zero(self) -> "GWAElement":
-        return GWAElement(self, {})
-
-    def one(self) -> "GWAElement":
-        return self.scalar(self.ring.one())
-
-    def scalar(self, poly) -> "GWAElement":
-        if not isinstance(poly, Polynomial):
-            poly = self.ring.const(poly)
-        return GWAElement(self, {self.zero_alpha: poly})
-
-    def v(self, alpha) -> "GWAElement":
-        alpha = tuple(int(k) for k in alpha)
-        if len(alpha) != self.rank:
-            raise GwpaError("degree vector has length %d, expected %d" % (len(alpha), self.rank))
-        return GWAElement(self, {alpha: self.ring.one()})
-
-    def X(self, i: int) -> "GWAElement":
-        return self.v(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
-
-    def Y(self, i: int) -> "GWAElement":
-        return self.v(tuple(-1 if j == i - 1 else 0 for j in range(self.rank)))
-
     def generators(self):
         gens = [self.scalar(self.ring.var(name)) for name in self.ring.variables]
         gens.extend(self.X(i) for i in range(1, self.rank + 1))
@@ -332,192 +354,6 @@ class GWAData:
             return NEG_INF
         weight = sum(d * abs(k) for d, k in zip(self.degrees, alpha))
         return poly.weighted_degree(self.weights) + Fraction(weight, 2)
-
-
-def _gwa_mul_raw(A: GWAData, left: dict, right: dict) -> dict:
-    out: dict = {}
-    for alpha, d in left.items():
-        for beta, e in right.items():
-            coeff = d * A.apply_sigma_alpha(alpha, e)
-            if coeff.is_zero:
-                continue
-            for i in range(A.rank):
-                p, q = alpha[i], beta[i]
-                if p and q and (p > 0) != (q > 0):
-                    coeff = coeff * A.contraction_factor(i, p, q)
-            gamma = tuple(p + q for p, q in zip(alpha, beta))
-            existing = out.get(gamma)
-            coeff = coeff if existing is None else existing + coeff
-            if coeff.is_zero:
-                out.pop(gamma, None)
-            else:
-                out[gamma] = coeff
-    return out
-
-
-class GWAElement:
-    """An element with polynomial coefficients written to the left of v."""
-
-    __slots__ = ("algebra", "_terms")
-
-    def __init__(self, algebra: GWAData, terms):
-        cleaned = {}
-        for alpha, poly in dict(terms).items():
-            alpha = tuple(int(k) for k in alpha)
-            if len(alpha) != algebra.rank:
-                raise GwpaError(
-                    "degree vector has length %d, expected %d"
-                    % (len(alpha), algebra.rank)
-                )
-            if not isinstance(poly, Polynomial):
-                poly = algebra.ring.const(poly)
-            if poly.ring != algebra.ring:
-                raise AmbientMismatchError(
-                    algebra.ring.variables, poly.ring.variables
-                )
-            if not poly.is_zero:
-                cleaned[alpha] = poly
-        self.algebra = algebra
-        self._terms = cleaned
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def support(self):
-        return sorted(self._terms, key=_degree_sort_key)
-
-    def coefficient(self, alpha) -> Polynomial:
-        return self._terms.get(tuple(alpha), self.algebra.ring.zero())
-
-    def _check(self, other: "GWAElement"):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("elements live in different algebras")
-
-    def __add__(self, other):
-        other = _coerce_gwa(self.algebra, other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for alpha, poly in other._terms.items():
-            total = out.get(alpha)
-            total = poly if total is None else total + poly
-            if total.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = total
-        return GWAElement(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GWAElement(
-            self.algebra, {alpha: -poly for alpha, poly in self._terms.items()}
-        )
-
-    def __sub__(self, other):
-        other = _coerce_gwa(self.algebra, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_gwa(self.algebra, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_gwa(self.algebra, other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return GWAElement(self.algebra, _gwa_mul_raw(self.algebra, self._terms, other._terms))
-
-    def __rmul__(self, other):
-        other = _coerce_gwa(self.algebra, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise GwpaError("exponent must be a nonnegative integer")
-        result = self.algebra.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def commutator(self, other: "GWAElement") -> "GWAElement":
-        other = _coerce_gwa(self.algebra, other)
-        if other is NotImplemented:
-            raise GwpaError("cannot take a commutator with that operand")
-        return self * other - other * self
-
-    @property
-    def degree(self):
-        """Filtration degree; NEG_INF for the zero element."""
-        if not self._terms:
-            return NEG_INF
-        return max(
-            self.algebra.term_degree(alpha, poly)
-            for alpha, poly in self._terms.items()
-        )
-
-    def homogeneous_part(self, target) -> "GWAElement":
-        """The slice of exact filtration degree ``target``."""
-        A = self.algebra
-        out = {}
-        for alpha, poly in self._terms.items():
-            weight = sum(d * abs(k) for d, k in zip(A.degrees, alpha))
-            coefficient_degree = Fraction(target) - Fraction(weight, 2)
-            if coefficient_degree.denominator != 1 or coefficient_degree < 0:
-                continue
-            piece = poly.weighted_component(A.weights, int(coefficient_degree))
-            if not piece.is_zero:
-                out[alpha] = piece
-        return GWAElement(A, out)
-
-    def leading_part(self) -> "GWAElement":
-        if not self._terms:
-            return self
-        return self.homogeneous_part(self.degree)
-
-    def __eq__(self, other):
-        other = _coerce_gwa(self.algebra, other) if not isinstance(other, GWAElement) else other
-        if other is NotImplemented or not isinstance(other, GWAElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(
-            (self.algebra, frozenset((a, p) for a, p in self._terms.items()))
-        )
-
-    def __str__(self):
-        return render_element(self)
-
-    def __repr__(self):
-        return "GWAElement(%s)" % self
-
-
-def _coerce_gwa(algebra: GWAData, value):
-    if isinstance(value, GWAElement):
-        return value
-    if isinstance(value, Polynomial):
-        if value.ring != algebra.ring:
-            return NotImplemented
-        return algebra.scalar(value)
-    if isinstance(value, (int, Fraction)):
-        return algebra.scalar(normalize_coeff(value))
-    return NotImplemented
 
 
 # -- graded correspondence ---------------------------------------------------
@@ -548,8 +384,7 @@ def predicted_gwpa(A: GWAData) -> GWPAData:
 
 
 def _graded_image(target: GWPAData, element: GWAElement, degree) -> GWPAElement:
-    slice_ = element.homogeneous_part(degree)
-    return GWPAElement(target, slice_.terms())
+    return target.element(element.homogeneous_part(degree).terms())
 
 
 class GrPairReport:

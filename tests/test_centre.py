@@ -69,13 +69,20 @@ def test_nonzero_degree_component_with_constant_parameter():
 
 def test_absolute_flag_matches_poisson():
     A = gr_usl2()
-    poisson = centre_component(A, (0,), 5)
-    absolute = centre_component(A, (0,), 5, which="absolute")
-    assert poisson.basis == absolute.basis
-    with pytest.raises(GwpaError):
-        centre_component(A, (0,), 5, which="bogus")
     with pytest.raises(GwpaError):
         centre_component(A, (0, 0), 5)
+
+
+def test_negative_bounds_are_rejected():
+    A = gr_usl2()
+    with pytest.raises(GwpaError):
+        centre_component(A, (0,), -1)
+    with pytest.raises(GwpaError):
+        constants_basis(A, -1)
+    with pytest.raises(GwpaError):
+        field_criterion(A, -1)
+    with pytest.raises(GwpaError):
+        field_criterion(A, 6, -1)
 
 
 def test_field_criterion_verdicts():

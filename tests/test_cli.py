@@ -152,6 +152,30 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_negative_degree_is_a_usage_error(capsys):
+    for argv in (
+        ["centre", "p2"],
+        ["field-check", "p2"],
+        ["simple", "p2"],
+        ["closure", "p2", "X1"],
+    ):
+        code, out, err = run(capsys, *argv, "--degree", "-3")
+        assert (code, out) == (2, "")
+        assert "--degree" in err
+
+
+def test_base_variable_named_like_a_generator_is_rejected(capsys, tmp_path):
+    doc = json.loads((SPEC_DIR / "p2.json").read_text())
+    del doc["gallery"]
+    doc["variables"] = ["X1"]
+    doc["a"] = ["X1"]
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert "clashes" in err
+
+
 def test_computation_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "bracket", "missing-algebra", "X1", "Y1")
     assert code == 1

@@ -16,11 +16,19 @@ from gwpa.engine import (
     torus_apply,
     validate_gwpa,
 )
-from gwpa.errors import AlgebraMismatchError, GwpaError, ValidationFailure
+from gwpa.errors import (
+    AlgebraMismatchError,
+    AmbientMismatchError,
+    GwpaError,
+    ValidationFailure,
+)
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
+from gwpa.parser import parse_element
 from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing
+from gwpa.quant import AffineSubstitution, GWAData, weyl_gwa
 
+from oracles import bracket_split
 from sampling import nonzero_element, random_element, random_polynomial
 
 
@@ -142,9 +150,7 @@ def test_bracket_strategies_agree():
         for _ in range(10):
             u = random_element(A, rng, bound=3)
             v = random_element(A, rng, bound=3)
-            assert u.bracket(v, strategy="pairs") == u.bracket(v, strategy="split")
-    with pytest.raises(GwpaError):
-        SAMPLE_ALGEBRAS[0].one().bracket(SAMPLE_ALGEBRAS[0].one(), strategy="magic")
+            assert u.bracket(v) == bracket_split(u, v)
 
 
 def test_bracket_oracle_graded_agreement():
@@ -362,6 +368,60 @@ def test_element_accessors_and_errors():
         A.scalar(PolyRing(["W"]).one())
     assert 3 * u == u.scaled(A.base_ring.const(3))
     assert u - u == A.zero()
+
+
+@pytest.mark.parametrize("make", [lambda: p2n(2), lambda: weyl_gwa(1)], ids=["p2n_2", "weyl_1"])
+def test_powers_by_squaring_match_repeated_products(make):
+    A = make()
+    u = A.X(1) + A.scalar(A.base_ring.var("H1")) * A.Y(1)
+    product = A.one()
+    for _ in range(7):
+        product = product * u
+    assert u ** 7 == product
+    assert parse_element("X1^5", A) == A.X(1) ** 5
+
+
+def test_elements_hash_consistently_with_equality():
+    for A in (p2n(2), weyl_gwa(1)):
+        u = A.X(1) + A.scalar(3)
+        v = A.scalar(3) + A.X(1)
+        assert u == v and hash(u) == hash(v)
+        assert len({u, v, A.X(1)}) == 2
+        assert A.zero_alpha == (0,) * A.rank
+
+
+def test_base_variables_may_not_shadow_generators():
+    ring = PolyRing(["X1"])
+    with pytest.raises(GwpaError, match="clashes"):
+        GWPAData(
+            BasePoissonAlgebra.trivial(ring),
+            (ring.var("X1"),),
+            (BaseDerivation.partial(ring, "X1"),),
+        )
+    line = PolyRing(["Y2"])
+    shift = AffineSubstitution.from_map(line, {"Y2": line.var("Y2") - 1})
+    with pytest.raises(GwpaError, match="clashes"):
+        GWAData(line, (shift,), (line.var("Y2"),), (1,), (1,))
+    plain = PolyRing(["X", "HX1"])
+    GWPAData(
+        BasePoissonAlgebra.trivial(plain),
+        (plain.var("X"),),
+        (BaseDerivation.partial(plain, "X"),),
+    )
+
+
+def test_foreign_polynomials_raise_ambient_mismatch():
+    foreign = PolyRing(["W"]).one()
+    for A in (p2n(1), weyl_gwa(1)):
+        for attempt in (
+            lambda: A.scalar(foreign),
+            lambda: A.X(1) + foreign,
+            lambda: foreign - A.X(1),
+            lambda: A.X(1) * foreign,
+            lambda: A.element({(0,): foreign}),
+        ):
+            with pytest.raises(AmbientMismatchError):
+                attempt()
 
 
 def test_validation_violations():
