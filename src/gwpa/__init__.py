@@ -23,7 +23,6 @@ from .engine import (
     ValidationReport,
     Violation,
     apply_sI,
-    bracket_oracle_graded,
     from_ore_data,
     gwpa_bracket,
     gwpa_mul,
@@ -42,7 +41,7 @@ from .errors import (
     SpecError,
     ValidationFailure,
 )
-from .gallery import gallery, gr_heisenberg, gr_usl2, p2n, univariate_family
+from .gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from .parser import parse_element, parse_polynomial
 from .poisson import (
     BaseDerivation,
@@ -56,7 +55,6 @@ from .poly import (
     NEG_INF,
     Polynomial,
     PolyRing,
-    affine_substitute,
     divides,
     exact_divide,
     render_polynomial,
@@ -113,9 +111,7 @@ __all__ = [
     "ValidationFailure",
     "ValidationReport",
     "Violation",
-    "affine_substitute",
     "apply_sI",
-    "bracket_oracle_graded",
     "centre_component",
     "constants_basis",
     "derivations_commute",
@@ -123,7 +119,6 @@ __all__ = [
     "exact_divide",
     "field_criterion",
     "from_ore_data",
-    "gallery",
     "gr_correspondence_check",
     "gr_heisenberg",
     "gr_usl2",

@@ -8,13 +8,12 @@ so: verdicts are exact only when an analytic argument removes the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .engine import GWPAData, GWPAElement
 from .errors import GwpaError
-from .linalg import nullspace
-from .poly import Polynomial, PolyRing, grlex_key, monomials_up_to, normalize_coeff
+from .linalg import Echelon, nullspace
+from .poly import Polynomial, PolyRing, grlex_key, monomials_up_to
 
 
 @dataclass(frozen=True)
@@ -291,56 +290,6 @@ def _vector_to_element(A: GWPAData, vec, coords) -> GWPAElement:
     )
 
 
-class _SpanTracker:
-    """Incrementally row-reduced rational span over sparse coordinates."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, object]] = {}
-
-    def _reduce(self, vec: dict[int, object]) -> dict[int, object] | None:
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            row = self.pivots.get(lead)
-            if row is None:
-                return vec
-            factor = vec[lead]
-            for idx, value in row.items():
-                acc = vec.get(idx, 0) - factor * value
-                if acc:
-                    vec[idx] = normalize_coeff(Fraction(acc))
-                else:
-                    vec.pop(idx, None)
-        return None
-
-    def insert(self, vec: dict[int, object]) -> dict[int, object] | None:
-        """Add a vector; returns the new normalized pivot row, or None if
-        the vector was already in the span."""
-        reduced = self._reduce(vec)
-        if reduced is None:
-            return None
-        lead = min(reduced)
-        inv = Fraction(1) / Fraction(reduced[lead])
-        row = {
-            idx: normalize_coeff(Fraction(value) * inv)
-            for idx, value in reduced.items()
-        }
-        for other in self.pivots.values():
-            if lead in other:
-                factor = other[lead]
-                for idx, value in row.items():
-                    acc = other.get(idx, 0) - factor * value
-                    if acc:
-                        other[idx] = normalize_coeff(Fraction(acc))
-                    else:
-                        other.pop(idx, None)
-        self.pivots[lead] = row
-        return row
-
-    def contains(self, vec: dict[int, object]) -> bool:
-        return self._reduce(vec) is None
-
-
 def poisson_ideal_closure(
     A: GWPAData, gens: Sequence[GWPAElement], degree: int
 ) -> ClosureReport:
@@ -355,7 +304,7 @@ def poisson_ideal_closure(
     if degree < 0:
         raise GwpaError("closure bound must be nonnegative")
     coords, index = _closure_coordinates(A, degree)
-    tracker = _SpanTracker()
+    tracker = Echelon()
     overflow = 0
     queue: list[GWPAElement] = []
     unit_vec = {0: 1}  # coordinate 0 is the constant monomial at degree zero
@@ -391,7 +340,7 @@ def poisson_ideal_closure(
     bracket_gens = A.generators()
 
     stopped_early = False
-    found_unit = tracker.contains(dict(unit_vec))
+    found_unit = unit_vec in tracker
     while queue and not found_unit:
         current = queue.pop(0)
         budget = degree - current.total_degree
@@ -399,7 +348,7 @@ def poisson_ideal_closure(
             if mult.total_degree > budget:
                 continue
             admit(mult * current)
-            if tracker.contains(dict(unit_vec)):
+            if unit_vec in tracker:
                 found_unit = True
                 stopped_early = True
                 break
@@ -407,14 +356,14 @@ def poisson_ideal_closure(
             break
         for g in bracket_gens:
             admit(g.bracket(current))
-            if tracker.contains(dict(unit_vec)):
+            if unit_vec in tracker:
                 found_unit = True
                 stopped_early = True
                 break
 
     basis = tuple(
-        _vector_to_element(A, tracker.pivots[lead], coords)
-        for lead in sorted(tracker.pivots)
+        _vector_to_element(A, tracker.rows[lead], coords)
+        for lead in sorted(tracker.rows)
     )
     return ClosureReport(
         contains_unit=found_unit,

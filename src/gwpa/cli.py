@@ -13,15 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .centre import centre_component, field_criterion, poisson_ideal_closure
 from .engine import GWPAData
 from .errors import GwpaError, ValidationFailure
-from .gallery import gr_heisenberg, gr_usl2, p2n
+from .gallery import GALLERY, GALLERY_HELP, resolve_gallery
 from .parser import parse_element
-from .quant import GWAData, gr_correspondence_check, usl2_gwa, weyl_gwa
+from .quant import GWAData, gr_correspondence_check
 from .simplicity import simplicity_check
 from .specfile import (
     parse_algebra_spec,
@@ -29,33 +28,6 @@ from .specfile import (
     spec_from_gwa,
     spec_from_gwpa,
 )
-
-_GALLERY_HELP = (
-    "p2, p2n_N, gr_usl2, gr_heisenberg_N, weyl_N, usl2"
-)
-
-
-def _gallery_entry(token: str):
-    """Resolve a gallery name to (kind, algebra, gallery metadata)."""
-    if token == "p2":
-        return "gwpa", p2n(1), {"name": "p2n", "params": {"n": 1}}
-    if token == "gr_usl2":
-        return "gwpa", gr_usl2(), {"name": "gr_usl2", "params": {}}
-    if token in ("usl2", "usl2_gwa"):
-        return "gwa", usl2_gwa(), {"name": "usl2_gwa", "params": {}}
-    match = re.fullmatch(r"p2n_(\d+)", token)
-    if match:
-        n = int(match.group(1))
-        return "gwpa", p2n(n), {"name": "p2n", "params": {"n": n}}
-    match = re.fullmatch(r"gr_heisenberg_(\d+)", token)
-    if match:
-        n = int(match.group(1))
-        return "gwpa", gr_heisenberg(n), {"name": "gr_heisenberg", "params": {"n": n}}
-    match = re.fullmatch(r"weyl_(\d+)", token)
-    if match:
-        n = int(match.group(1))
-        return "gwa", weyl_gwa(n), {"name": "weyl", "params": {"n": n}}
-    return None
 
 
 def _resolve(source: str):
@@ -66,11 +38,11 @@ def _resolve(source: str):
         spec = parse_algebra_spec(text)
         built = spec.build()
         return spec.kind, built
-    entry = _gallery_entry(source)
+    entry = resolve_gallery(source)
     if entry is None:
         raise GwpaError(
             "no such file or gallery name: %r (gallery names: %s)"
-            % (source, _GALLERY_HELP)
+            % (source, GALLERY_HELP)
         )
     kind, algebra, _ = entry
     return kind, algebra
@@ -314,13 +286,13 @@ def _cmd_quantize_check(args) -> tuple[dict, str]:
 
 def _cmd_gallery(args) -> tuple[dict, str]:
     if args.name is None:
-        names = ["p2", "p2n_2", "gr_usl2", "gr_heisenberg_1", "weyl_1", "usl2"]
+        names = [entry.listed for entry in GALLERY]
         report = {"command": "gallery", "names": names}
         return report, "\n".join(names)
-    entry = _gallery_entry(args.name)
+    entry = resolve_gallery(args.name)
     if entry is None:
         raise GwpaError(
-            "unknown gallery name %r (choose from %s)" % (args.name, _GALLERY_HELP)
+            "unknown gallery name %r (choose from %s)" % (args.name, GALLERY_HELP)
         )
     kind, algebra, meta = entry
     if kind == "gwa":

@@ -12,9 +12,7 @@ ones.  The Poisson bracket is determined by
 for d in D, all brackets between generators of different index vanishing.
 Elements are kept in graded normal form at all times.  The bracket of two
 elements is the bilinear sum of a closed form for each pair of basis terms
-(:func:`_term_bracket`); the one-step graded formulas in
-:func:`bracket_oracle_graded` evaluate the same bracket independently and
-serve as a cross-check only.
+(:func:`_term_bracket`).
 
 The graded normal form is shared with the generalized Weyl algebras of
 :mod:`gwpa.quant`, whose associated graded objects are these Poisson
@@ -567,60 +565,6 @@ def gwpa_mul(u: GWPAElement, v: GWPAElement) -> GWPAElement:
 def gwpa_bracket(u: GWPAElement, v: GWPAElement) -> GWPAElement:
     """Poisson bracket of two elements."""
     return u.bracket(v)
-
-
-def bracket_oracle_graded(A: GWPAData, first, lam: Polynomial, alpha: Sequence[int]) -> GWPAElement:
-    """Closed graded formulas for brackets against a basis term lam v_alpha.
-
-    ``first`` is either a base polynomial d, using
-
-        {d, lam v_alpha} = (-{lam, -} + lam sum_i alpha_i p_i)(d) v_alpha,
-
-    or a single generator X_i or Y_i (as a GWPAElement), using the one-step
-    shift formula with its sign and correction cases.  This evaluates the
-    formulas directly, without the term-pair closed form, and exists to
-    cross-check :meth:`GWPAElement.bracket`.
-    """
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != A.rank:
-        raise GwpaError("degree tuple must have length %d" % A.rank)
-    if lam.ring != A.base_ring:
-        raise GwpaError("coefficient lives over a different ring")
-    if isinstance(first, Polynomial):
-        d = first
-        coeff = -A.base.bracket(lam, d)
-        for i, x in enumerate(alpha):
-            if x:
-                coeff = coeff + lam * A.partials[i](d) * x
-        return GWPAElement(A, {alpha: coeff})
-    if isinstance(first, GWPAElement):
-        sign, index = _single_generator(first)
-        i = index
-        p_lam = A.partials[i](lam)
-        shifted = list(alpha)
-        shifted[i] += sign
-        shifted = tuple(shifted)
-        x = alpha[i]
-        if x == 0 or (x > 0) == (sign > 0):
-            coeff = p_lam * (-sign)
-        else:
-            coeff = p_lam * (-sign) * A.a[i] + lam * x * A.partials[i](A.a[i])
-        return GWPAElement(A, {shifted: coeff})
-    raise GwpaError("first argument must be a base polynomial or a single generator")
-
-
-def _single_generator(u: GWPAElement) -> tuple[int, int]:
-    """(sign, zero-based index) when u is exactly X_i or Y_i."""
-    if len(u._terms) != 1:
-        raise GwpaError("expected a single generator element")
-    (alpha, poly), = u._terms.items()
-    if not (poly.is_constant and poly.constant_value() == 1):
-        raise GwpaError("expected a single generator element")
-    nonzero = [(i, x) for i, x in enumerate(alpha) if x]
-    if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-        raise GwpaError("expected a single generator element")
-    i, x = nonzero[0]
-    return (1 if x > 0 else -1), i
 
 
 # -- constructions -------------------------------------------------------------

@@ -3,18 +3,22 @@
 Every constructor returns fully validated :class:`GWPAData`.  The classical
 Poisson polynomial algebra in 2n variables, the graded algebras attached to
 the enveloping algebras of sl2 and of Heisenberg Lie algebras, and a
-configurable family with univariate parameters are provided.
+configurable family with univariate parameters are provided.  The
+:data:`GALLERY` table names the algebras the command line knows, including
+the quantized ones from :mod:`gwpa.quant`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import re
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .engine import GWPAData
 from .errors import GwpaError
 from .parser import parse_polynomial
 from .poisson import BaseDerivation, BasePoissonAlgebra
 from .poly import Polynomial, PolyRing
+from .quant import usl2_gwa, weyl_gwa
 
 
 def p2n(n: int) -> GWPAData:
@@ -114,14 +118,42 @@ def univariate_family(
     return GWPAData.checked(base, a_polys, partials)
 
 
-def gallery(name: str, **params) -> GWPAData:
-    """Dispatch by name: p2n, gr_usl2, gr_heisenberg or univariate_family."""
-    if name == "p2n":
-        return p2n(int(params.pop("n", 1)))
-    if name == "gr_usl2":
-        return gr_usl2()
-    if name == "gr_heisenberg":
-        return gr_heisenberg(int(params.pop("n", 1)))
-    if name == "univariate_family":
-        return univariate_family(params.pop("a"), params.pop("b"))
-    raise GwpaError("unknown gallery algebra %r" % name)
+class GalleryEntry(NamedTuple):
+    """One algebra name the command line knows."""
+
+    name: str  # shown in help; a trailing "_N" reads the rank n from the token
+    listed: str  # the name ``gwpa gallery`` prints
+    kind: str  # spec kind: "gwpa" or "gwa"
+    spec_name: str  # gallery name recorded in a rendered spec
+    build: Callable
+    params: dict | None  # fixed constructor arguments of a name without "_N"
+    aliases: tuple[str, ...] = ()  # further names accepted, never shown
+
+
+GALLERY = (
+    GalleryEntry("p2", "p2", "gwpa", "p2n", p2n, {"n": 1}),
+    GalleryEntry("p2n_N", "p2n_2", "gwpa", "p2n", p2n, None),
+    GalleryEntry("gr_usl2", "gr_usl2", "gwpa", "gr_usl2", gr_usl2, {}),
+    GalleryEntry(
+        "gr_heisenberg_N", "gr_heisenberg_1", "gwpa", "gr_heisenberg", gr_heisenberg, None
+    ),
+    GalleryEntry("weyl_N", "weyl_1", "gwa", "weyl", weyl_gwa, None),
+    GalleryEntry("usl2", "usl2", "gwa", "usl2_gwa", usl2_gwa, {}, ("usl2_gwa",)),
+)
+GALLERY_HELP = ", ".join(entry.name for entry in GALLERY)
+
+
+def resolve_gallery(token: str):
+    """Resolve a gallery name to (kind, algebra, spec gallery metadata),
+    or None when no entry has that name."""
+    for entry in GALLERY:
+        if entry.name.endswith("_N"):
+            found = re.fullmatch(re.escape(entry.name[:-1]) + r"(\d+)", token)
+            params = {"n": int(found.group(1))} if found else None
+        else:
+            named = token == entry.name or token in entry.aliases
+            params = dict(entry.params) if named else None
+        if params is not None:
+            meta = {"name": entry.spec_name, "params": params}
+            return entry.kind, entry.build(**params), meta
+    return None

@@ -436,25 +436,6 @@ def render_polynomial(poly: Polynomial) -> str:
     return " ".join(pieces)
 
 
-def affine_substitute(
-    poly: Polynomial, images: Mapping[str, Polynomial]
-) -> Polynomial:
-    """Substitute affine images for every variable of ``poly``.
-
-    Every variable actually used by ``poly`` must have an image, and each
-    image must have total degree at most one.
-    """
-    for name in poly.variables_used():
-        if name not in images:
-            raise GwpaError("no image given for variable %r" % name)
-    for name, image in images.items():
-        if image.total_degree > 1:
-            raise GwpaError(
-                "image of %r is not affine: %s" % (name, image)
-            )
-    return poly.substitute(images)
-
-
 # -- univariate helpers ----------------------------------------------------
 
 

@@ -1,15 +1,23 @@
 """Independent oracles for the library bracket.
 
-:func:`bracket_split` recomputes the Poisson bracket of two generalized Weyl
-Poisson algebra elements by Leibniz recursion: every basis term d v_alpha is
-factored into a word of atoms (the coefficient d, then single generators
-X_i or Y_i), and the bracket of two words is split by halving one of them
-until only brackets of atoms remain, which the defining relations give
-directly.  It shares nothing with the library's closed-form term bracket
-except the product, so agreement checks that closed form.
+:func:`bracket_oracle_graded` evaluates the one-step graded formulas for a
+bracket against a single basis term.  :func:`bracket_split` recomputes the
+Poisson bracket of two generalized Weyl Poisson algebra elements by Leibniz
+recursion: every basis term d v_alpha is factored into a word of atoms (the
+coefficient d, then single generators X_i or Y_i), and the bracket of two
+words is split by halving one of them until only brackets of atoms remain,
+which the defining relations give directly.  It shares nothing with the
+library's closed-form term bracket except the product, so agreement checks
+that closed form.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+from gwpa.engine import GWPAData, GWPAElement
+from gwpa.errors import GwpaError
+from gwpa.poly import Polynomial
 
 # Atoms are ("c", polynomial) for base coefficients and ("X", i) / ("Y", i)
 # with zero-based index for single generators.
@@ -91,3 +99,57 @@ def bracket_split(u, v):
         for beta, e in v.items():
             total = total + _bracket_words(A, atoms_u, _atoms_of(beta, e))
     return total
+
+
+def bracket_oracle_graded(A: GWPAData, first, lam: Polynomial, alpha: Sequence[int]) -> GWPAElement:
+    """Closed graded formulas for brackets against a basis term lam v_alpha.
+
+    ``first`` is either a base polynomial d, using
+
+        {d, lam v_alpha} = (-{lam, -} + lam sum_i alpha_i p_i)(d) v_alpha,
+
+    or a single generator X_i or Y_i (as a GWPAElement), using the one-step
+    shift formula with its sign and correction cases.  This evaluates the
+    formulas directly, without the term-pair closed form, and exists to
+    cross-check :meth:`GWPAElement.bracket`.
+    """
+    alpha = tuple(int(x) for x in alpha)
+    if len(alpha) != A.rank:
+        raise GwpaError("degree tuple must have length %d" % A.rank)
+    if lam.ring != A.base_ring:
+        raise GwpaError("coefficient lives over a different ring")
+    if isinstance(first, Polynomial):
+        d = first
+        coeff = -A.base.bracket(lam, d)
+        for i, x in enumerate(alpha):
+            if x:
+                coeff = coeff + lam * A.partials[i](d) * x
+        return GWPAElement(A, {alpha: coeff})
+    if isinstance(first, GWPAElement):
+        sign, index = _single_generator(first)
+        i = index
+        p_lam = A.partials[i](lam)
+        shifted = list(alpha)
+        shifted[i] += sign
+        shifted = tuple(shifted)
+        x = alpha[i]
+        if x == 0 or (x > 0) == (sign > 0):
+            coeff = p_lam * (-sign)
+        else:
+            coeff = p_lam * (-sign) * A.a[i] + lam * x * A.partials[i](A.a[i])
+        return GWPAElement(A, {shifted: coeff})
+    raise GwpaError("first argument must be a base polynomial or a single generator")
+
+
+def _single_generator(u: GWPAElement) -> tuple[int, int]:
+    """(sign, zero-based index) when u is exactly X_i or Y_i."""
+    if len(u.items()) != 1:
+        raise GwpaError("expected a single generator element")
+    (alpha, poly), = u.items()
+    if not (poly.is_constant and poly.constant_value() == 1):
+        raise GwpaError("expected a single generator element")
+    nonzero = [(i, x) for i, x in enumerate(alpha) if x]
+    if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+        raise GwpaError("expected a single generator element")
+    i, x = nonzero[0]
+    return (1 if x > 0 else -1), i

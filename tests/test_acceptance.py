@@ -15,7 +15,6 @@ from gwpa.centre import centre_component, nonzero_alphas, poisson_ideal_closure
 from gwpa.cli import main as cli_main
 from gwpa.engine import (
     apply_sI,
-    bracket_oracle_graded,
     from_ore_data,
     gwpa_bracket,
     torus_apply,
@@ -27,6 +26,7 @@ from gwpa.quant import gr_correspondence_check, usl2_gwa, weyl_gwa
 from gwpa.simplicity import simplicity_check
 from gwpa.specfile import parse_algebra_spec, render_algebra_spec, spec_from_gwpa
 
+from oracles import bracket_oracle_graded
 from sampling import random_element, random_polynomial
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gwpa.centre import (
@@ -13,6 +15,7 @@ from gwpa.centre import (
 )
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
+from gwpa.parser import parse_element
 
 
 def test_degree_enumeration():
@@ -132,6 +135,24 @@ def test_closure_detects_unit_for_separable_parameter():
     A = univariate_family(["H1^2 - H1"], ["1"])
     report = poisson_ideal_closure(A, [A.X(1)], 3)
     assert report.contains_unit
+
+
+def test_closure_answers_are_pinned():
+    # The reported basis depends on the reduction rule of the span: rows are
+    # reduced below their pivot only, so the first p2n(1) row keeps its Y1
+    # term.  Reducing rows fully changes the dimension of the gr_usl2 case.
+    cases = [
+        (gr_usl2(), "C*H + 2/3*X1", 4, False, 53, ["Y1", "H - 3/4*C*Y1"],
+         "c6a9153d6d927e376b90c8822e7ada9ac67369ca2eae9a7c66a0dc509c266991"),
+        (p2n(1), "H1^3 - X1", 6, True, 33, ["1 - 3*H1^2*Y1", "Y1 - 3*H1^2*Y1^2"],
+         "f416d841f11991ab15c7e9ee49fd703f2e4e4fa7c9111f315ffb6cdd3b8e3bd5"),
+    ]
+    for A, generator, bound, unit, dimension, first_rows, digest in cases:
+        report = poisson_ideal_closure(A, [parse_element(generator, A)], bound)
+        rendered = [str(b) for b in report.basis]
+        assert (report.contains_unit, len(rendered), report.overflow) == (unit, dimension, 0)
+        assert rendered[:2] == first_rows
+        assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
 
 
 def test_closure_edge_cases():

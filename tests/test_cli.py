@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import types
 
 from gwpa.cli import main
 from gwpa.gallery import univariate_family
@@ -132,6 +133,12 @@ def test_gallery_listing_and_specs(capsys):
         code, out, _ = run(capsys, "gallery", name)
         assert code == 0
         assert out == (SPEC_DIR / filename).read_text()
+
+
+def test_gallery_module_is_not_shadowed():
+    import gwpa.gallery as gallery
+
+    assert isinstance(gallery, types.ModuleType)
 
 
 def test_outputs_are_byte_stable(capsys):

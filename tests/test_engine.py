@@ -9,7 +9,6 @@ import pytest
 from gwpa.engine import (
     GWPAData,
     apply_sI,
-    bracket_oracle_graded,
     from_ore_data,
     generator_label,
     tensor_product,
@@ -28,7 +27,7 @@ from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing
 from gwpa.quant import AffineSubstitution, GWAData, weyl_gwa
 
-from oracles import bracket_split
+from oracles import bracket_oracle_graded, bracket_split
 from sampling import nonzero_element, random_element, random_polynomial
 
 

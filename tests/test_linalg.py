@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gwpa.linalg import nullspace, rref
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gwpa.linalg import Echelon, nullspace, rref
 
 from sampling import random_rational
 
@@ -70,3 +73,52 @@ def test_rref_is_idempotent():
         again, pivots2 = rref(rows)
         assert rows == again
         assert pivots == pivots2
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(79)
+    for trial in range(80):
+        short, long = rng.randint(1, 3), rng.randint(3, 7)
+        rows, cols = (short, long) if trial % 2 else (long, short)
+        matrix = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.4:
+            matrix.append([0] * cols)
+        if rng.random() < 0.4:
+            matrix.append(list(rng.choice(matrix)))
+        rng.shuffle(matrix)
+        reduced, pivots = rref(matrix)
+        expected, expected_pivots = sympy.Matrix(matrix).rref()
+        assert pivots == list(expected_pivots)
+        assert reduced == [
+            [Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
+            for i in range(len(pivots))
+        ]
+
+
+_coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+_vector = st.dictionaries(st.integers(0, 5), _coeff, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_vector, max_size=6), st.data())
+def test_echelon_span_does_not_depend_on_insertion_order(vectors, data):
+    forward = Echelon()
+    for vec in vectors:
+        spanned = vec in forward
+        assert (forward.insert(vec) is None) == spanned
+        assert vec in forward
+    shuffled = Echelon()
+    for vec in data.draw(st.permutations(vectors)):
+        shuffled.insert(vec)
+    assert sorted(forward.rows) == sorted(shuffled.rows)
+    combination = {}
+    for vec in vectors:
+        factor = data.draw(_coeff)
+        for idx, value in vec.items():
+            combination[idx] = combination.get(idx, 0) + factor * value
+    combination = {idx: value for idx, value in combination.items() if value}
+    assert combination in forward
+    assert forward.insert(combination) is None
+    for probe in data.draw(st.lists(_vector, max_size=4)):
+        assert (probe in forward) == (probe in shuffled)

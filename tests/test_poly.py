@@ -12,13 +12,13 @@ from gwpa.poly import (
     NEG_INF,
     PolyRing,
     Polynomial,
-    affine_substitute,
     divides,
     exact_divide,
     monomials_up_to,
     render_polynomial,
     univariate_gcd,
 )
+from gwpa.quant import AffineSubstitution
 
 from sampling import random_polynomial
 
@@ -123,12 +123,11 @@ def test_embed_into_extended_ring(ring):
 def test_affine_substitute_validates_images(ring):
     H = ring.var("H")
     C = ring.var("C")
-    out = affine_substitute(H ** 2, {"H": H - 1, "C": C})
-    assert out == H ** 2 - 2 * H + 1
-    with pytest.raises(GwpaError):
-        affine_substitute(H + C, {"H": H - 1})
-    with pytest.raises(GwpaError):
-        affine_substitute(H, {"H": H ** 2, "C": C})
+    shift = AffineSubstitution.from_map(ring, {"H": H - 1})
+    assert shift(H ** 2) == H ** 2 - 2 * H + 1
+    assert shift(H + C) == H + C - 1  # unnamed variables stay fixed
+    with pytest.raises(GwpaError, match="not affine"):
+        AffineSubstitution.from_map(ring, {"H": H ** 2, "C": C})
 
 
 def test_ambient_mismatch_raises(ring):
