@@ -7,6 +7,7 @@ so: verdicts are exact only when an analytic argument removes the bound.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -123,7 +124,7 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
         )
     for i, x in enumerate(alpha):
         if x:
-            kill = A.partials[i](A.a[i]) * x
+            kill = A.p_of_a(i) * x
             if not kill.is_zero:
                 operators.append(lambda lam, kill=kill: lam * kill)
     basis = _kernel_polynomials(ring, degree, operators)
@@ -193,7 +194,7 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
             )
     constants_exact = A.base.is_trivial and _constant_coordinate_cover(A)
 
-    graded_exact = all(not A.partials[i](A.a[i]).is_zero for i in range(A.rank))
+    graded_exact = all(not A.p_of_a(i).is_zero for i in range(A.rank))
     if not graded_exact:
         for alpha in nonzero_alphas(A.rank, alpha_max):
             comp = centre_component(A, alpha, degree)
@@ -306,15 +307,15 @@ def poisson_ideal_closure(
     coords, index = _closure_coordinates(A, degree)
     tracker = Echelon()
     overflow = 0
-    queue: list[GWPAElement] = []
+    queue: deque[GWPAElement] = deque()
     unit_vec = {0: 1}  # coordinate 0 is the constant monomial at degree zero
 
     def admit(u: GWPAElement) -> bool:
+        """Add ``u`` to the span; True when it contributed a new row.  The
+        index holds every coordinate of weight at most ``degree``, so a
+        heavier ``u`` has no vector and counts as one overflow."""
         nonlocal overflow
         if u.is_zero:
-            return False
-        if u.total_degree > degree:
-            overflow += 1
             return False
         vec = _element_to_vector(u, index)
         if vec is None:
@@ -326,40 +327,44 @@ def poisson_ideal_closure(
         queue.append(_vector_to_element(A, row, coords))
         return True
 
+    def reaches_unit(u: GWPAElement) -> bool:
+        # The span can only gain the unit with a new row, and any span
+        # holding it has a pivot in column 0.
+        return admit(u) and 0 in tracker.rows and unit_vec in tracker
+
     for g in gens:
         if g.algebra != A:
             raise GwpaError("closure generator belongs to a different algebra")
         admit(g)
 
+    # coords ascend in weight, so the multipliers do too: once one exceeds
+    # the budget every later one does, and ``break`` multiplies by exactly
+    # the multipliers, in exactly the order, that skipping them one by one
+    # would.  The order matters: it decides which rows the span reports.
     ring = A.base_ring
-    multipliers: list[GWPAElement] = []
+    multipliers: list[tuple[int, GWPAElement]] = []
     for alpha, exps in coords:
         weight = sum(abs(x) for x in alpha) + sum(exps)
         if weight >= 1:
-            multipliers.append(A.element({alpha: Polynomial(ring, {exps: 1})}))
+            multipliers.append(
+                (weight, A.element({alpha: Polynomial(ring, {exps: 1})}))
+            )
     bracket_gens = A.generators()
 
     stopped_early = False
     found_unit = unit_vec in tracker
     while queue and not found_unit:
-        current = queue.pop(0)
+        current = queue.popleft()
         budget = degree - current.total_degree
-        for mult in multipliers:
-            if mult.total_degree > budget:
-                continue
-            admit(mult * current)
-            if unit_vec in tracker:
-                found_unit = True
-                stopped_early = True
+        for weight, mult in multipliers:
+            if weight > budget:
                 break
-        if found_unit:
-            break
-        for g in bracket_gens:
-            admit(g.bracket(current))
-            if unit_vec in tracker:
+            if reaches_unit(mult * current):
                 found_unit = True
-                stopped_early = True
                 break
+        if not found_unit:
+            found_unit = any(reaches_unit(g.bracket(current)) for g in bracket_gens)
+        stopped_early = found_unit
 
     basis = tuple(
         _vector_to_element(A, tracker.rows[lead], coords)

@@ -30,6 +30,16 @@ from .specfile import (
 )
 
 
+#: Largest ``--degree`` accepted.  The work of a degree-bounded command
+#: grows like a power of the bound, so a short command line could
+#: otherwise ask for hours of elimination; larger values exit 1.
+MAX_DEGREE = 24
+
+#: Largest ``--alpha`` grading window accepted by ``field-check`` and
+#: ``simple``, for the same reason.
+MAX_ALPHA_WINDOW = 12
+
+
 def _resolve(source: str):
     """Load an algebra from a spec file path or a gallery name."""
     if os.path.exists(source):
@@ -81,6 +91,10 @@ def _parse_alpha_window(text) -> int:
         raise GwpaError("--alpha expects a single integer bound here") from None
     if value < 0:
         raise GwpaError("--alpha bound must be nonnegative")
+    if value > MAX_ALPHA_WINDOW:
+        raise GwpaError(
+            "--alpha bound %d exceeds the cap of %d" % (value, MAX_ALPHA_WINDOW)
+        )
     return value
 
 
@@ -183,9 +197,9 @@ def _cmd_centre(args) -> tuple[dict, str]:
 
 
 def _cmd_field_check(args) -> tuple[dict, str]:
+    window = _parse_alpha_window(args.alpha)
     kind, built = _resolve(args.source)
     algebra = _poisson_algebra(kind, built)
-    window = _parse_alpha_window(args.alpha)
     verdict = field_criterion(algebra, args.degree, window)
     report = {
         "command": "field-check",
@@ -199,9 +213,9 @@ def _cmd_field_check(args) -> tuple[dict, str]:
 
 
 def _cmd_simple(args) -> tuple[dict, str]:
+    window = _parse_alpha_window(args.alpha)
     kind, built = _resolve(args.source)
     algebra = _poisson_algebra(kind, built)
-    window = _parse_alpha_window(args.alpha)
     result = simplicity_check(algebra, args.degree, window)
     report = {
         "command": "simple",
@@ -408,6 +422,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if getattr(args, "degree", 0) > MAX_DEGREE:
+            raise GwpaError(
+                "--degree %d exceeds the cap of %d" % (args.degree, MAX_DEGREE)
+            )
         report, text = _HANDLERS[args.command](args)
     except (GwpaError, OSError) as exc:
         failure = exc

@@ -343,6 +343,7 @@ class GWPAData(GradedAlgebra):
             if der.ring != self.base.ring:
                 raise GwpaError("derivation lives over a different ring")
         object.__setattr__(self, "_a_powers", {})
+        object.__setattr__(self, "_p_of_a", {})
 
     @classmethod
     def checked(cls, base, a, partials) -> "GWPAData":
@@ -368,6 +369,13 @@ class GWPAData(GradedAlgebra):
         if key not in cache:
             cache[key] = self.a[i] ** m
         return cache[key]
+
+    def p_of_a(self, i: int) -> Polynomial:
+        """Cached p_i(a_i) for the zero-based index i."""
+        cache = self._p_of_a
+        if i not in cache:
+            cache[i] = self.partials[i](self.a[i])
+        return cache[i]
 
     def apply_sigma_alpha(self, alpha, poly: Polynomial) -> Polynomial:
         """Coefficients commute with v_alpha: the twist is the identity."""
@@ -516,23 +524,24 @@ def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
     carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.
     """
     base = A.base.bracket(d, e)
-    for i, k in enumerate(alpha):
-        if k:
-            base = base - A.partials[i](e) * d * k
-    for i, k in enumerate(beta):
-        if k:
-            base = base + A.partials[i](d) * e * k
-    overlap = A.base_ring.one()
+    drift = _drift(A, alpha, e)
+    if drift is not None:
+        base = base - d * drift
+    drift = _drift(A, beta, d)
+    if drift is not None:
+        base = base + e * drift
+    overlap = None
     corrections = []
     for i in range(A.rank):
         p, q = alpha[i], beta[i]
         if p and q and (p > 0) != (q > 0):
             m = min(abs(p), abs(q))
-            scale = A.partials[i](A.a[i]) * (abs(p) * q)
+            scale = A.p_of_a(i) * (abs(p) * q)
             if not scale.is_zero:
                 corrections.append((i, m, scale))
-            overlap = overlap * A.a_power(i, m)
-    total = base * overlap
+            power = A.a_power(i, m)
+            overlap = power if overlap is None else overlap * power
+    total = base if overlap is None else base * overlap
     if corrections:
         de = d * e
         if not de.is_zero:
@@ -545,6 +554,18 @@ def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
                             piece = piece * A.a_power(j, min(abs(pj), abs(qj)))
                 total = total + piece
     return total
+
+
+def _drift(A: GWPAData, weights, f: Polynomial) -> Polynomial | None:
+    """E_weights(f) = sum_i weights_i p_i(f), or None when it vanishes."""
+    drift = None
+    for i, k in enumerate(weights):
+        if k:
+            image = A.partials[i](f)
+            if k != 1:
+                image = image * k
+            drift = image if drift is None else drift + image
+    return None if drift is None or drift.is_zero else drift
 
 
 def _bracket_pairs(A: GWPAData, t1, t2) -> dict:

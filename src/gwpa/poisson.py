@@ -160,11 +160,16 @@ class BaseDerivation:
     """A derivation of a polynomial ring, stored by its generator images.
 
     Application uses the chain rule, so the map is determined by and agrees
-    with its images on generators.
+    with its images on generators.  The image of each monomial is memoized
+    per instance; the memo is not a field, so it takes no part in ``==``
+    or hashing.
     """
 
     ring: PolyRing
     images: tuple[Polynomial, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_monomial_images", {})
 
     @classmethod
     def from_images(
@@ -196,14 +201,35 @@ class BaseDerivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise GwpaError("derivation applied to polynomial over a different ring")
-        result = self.ring.zero()
-        for name, image in zip(self.ring.variables, self.images):
-            if image.is_zero:
+        memo = self._monomial_images
+        out: dict = {}
+        for exps, coeff in f.items():
+            image = memo.get(exps)
+            if image is None:
+                image = memo[exps] = self._monomial_image(exps)
+            for r_exps, r_coeff in image.items():
+                acc = out.get(r_exps, 0) + coeff * r_coeff
+                if acc:
+                    out[r_exps] = acc
+                else:
+                    out.pop(r_exps, None)
+        return Polynomial(self.ring, out)
+
+    def _monomial_image(self, exps: tuple[int, ...]) -> Polynomial:
+        """Chain rule on one monomial: sum_v e_v x^(exps - 1_v) D(x_v)."""
+        out: dict = {}
+        for v, (e, image) in enumerate(zip(exps, self.images)):
+            if not e:
                 continue
-            df = f.partial(name)
-            if not df.is_zero:
-                result = result + image * df
-        return result
+            lowered = exps[:v] + (e - 1,) + exps[v + 1 :]
+            for i_exps, i_coeff in image.items():
+                key = tuple(x + y for x, y in zip(lowered, i_exps))
+                acc = out.get(key, 0) + e * i_coeff
+                if acc:
+                    out[key] = acc
+                else:
+                    out.pop(key, None)
+        return Polynomial(self.ring, out)
 
     def negated(self) -> "BaseDerivation":
         return BaseDerivation(self.ring, tuple(-img for img in self.images))

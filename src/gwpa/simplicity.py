@@ -153,7 +153,7 @@ def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
     for a in A.a:
         push(a)
     for i in range(A.rank):
-        push(A.partials[i](A.a[i]))
+        push(A.p_of_a(i))
     return candidates
 
 

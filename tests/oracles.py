@@ -8,7 +8,9 @@ coefficient d, then single generators X_i or Y_i), and the bracket of two
 words is split by halving one of them until only brackets of atoms remain,
 which the defining relations give directly.  It shares nothing with the
 library's closed-form term bracket except the product, so agreement checks
-that closed form.
+that closed form.  :func:`derivation_chain_rule` applies a derivation term
+by term from its generator images, as a check on the memoized
+:meth:`BaseDerivation.__call__`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence
 
 from gwpa.engine import GWPAData, GWPAElement
 from gwpa.errors import GwpaError
+from gwpa.poisson import BaseDerivation
 from gwpa.poly import Polynomial
 
 # Atoms are ("c", polynomial) for base coefficients and ("X", i) / ("Y", i)
@@ -153,3 +156,16 @@ def _single_generator(u: GWPAElement) -> tuple[int, int]:
         raise GwpaError("expected a single generator element")
     i, x = nonzero[0]
     return (1 if x > 0 else -1), i
+
+
+def derivation_chain_rule(der: BaseDerivation, f: Polynomial) -> Polynomial:
+    """D(f) as the sum, over terms c x^e of f and variables x_v, of
+    c e_v x^(e - 1_v) D(x_v), with no memo."""
+    ring = f.ring
+    out = ring.zero()
+    for exps, coeff in f.items():
+        for v, (e, image) in enumerate(zip(exps, der.images)):
+            if e:
+                lowered = exps[:v] + (e - 1,) + exps[v + 1 :]
+                out = out + ring.monomial(lowered, coeff * e) * image
+    return out

@@ -155,6 +155,28 @@ def test_closure_answers_are_pinned():
         assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
 
 
+def test_baseline_closures_are_pinned():
+    # The three baseline generator sets at the benchmark bounds: Z overflows,
+    # H1^2 finds a unit and stops early, C explores the whole bounded span.
+    # The multiplier loop must keep the order of multiplications, since the
+    # queue order decides which rows the span reports.
+    cases = [
+        (gr_heisenberg(2), "Z", 4, False, 104, 160, False,
+         "4cf1948c4ac35f95fce7dc343d05cbe0702b7480c25748c32ba70476a9b218a4"),
+        (p2n(2), "H1^2", 4, True, 124, 0, True,
+         "82263e34acbe39c2346617d8a44dd0bbb53b5c8d34c3fa5a4c419f559a30a783"),
+        (gr_usl2(), "C", 6, False, 91, 0, False,
+         "de5bcd646549e6ff18b50e79f9b8fd04d1ef2d111ef8c34e874d0f608e0a6c5a"),
+    ]
+    for A, generator, bound, unit, dimension, overflow, early, digest in cases:
+        report = poisson_ideal_closure(A, [parse_element(generator, A)], bound)
+        rendered = [str(b) for b in report.basis]
+        assert (
+            report.contains_unit, len(rendered), report.overflow, report.stopped_early
+        ) == (unit, dimension, overflow, early)
+        assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
+
+
 def test_closure_edge_cases():
     A = p2n(1)
     empty = poisson_ideal_closure(A, [], 2)

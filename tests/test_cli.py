@@ -6,7 +6,7 @@ import json
 import pathlib
 import types
 
-from gwpa.cli import main
+from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
 from gwpa.gallery import univariate_family
 from gwpa.specfile import render_algebra_spec, spec_from_gwpa
 
@@ -169,6 +169,26 @@ def test_negative_degree_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv, "--degree", "-3")
         assert (code, out) == (2, "")
         assert "--degree" in err
+
+
+def test_bounds_above_the_caps_are_rejected(capsys):
+    # Both caps are checked before the algebra is even loaded, so a missing
+    # source still reports the cap and no computation starts.
+    too_deep = str(MAX_DEGREE + 1)
+    for argv in (
+        ["centre", "p2"],
+        ["field-check", "p2"],
+        ["simple", "no-such-algebra"],
+        ["closure", "p2", "X1"],
+    ):
+        code, out, err = run(capsys, *argv, "--degree", too_deep)
+        assert (code, out) == (1, "")
+        assert "cap of %d" % MAX_DEGREE in err
+    too_wide = str(MAX_ALPHA_WINDOW + 1)
+    for command in ("field-check", "simple"):
+        code, out, err = run(capsys, command, "no-such-algebra", "--alpha", too_wide)
+        assert (code, out) == (1, "")
+        assert "cap of %d" % MAX_ALPHA_WINDOW in err
 
 
 def test_base_variable_named_like_a_generator_is_rejected(capsys, tmp_path):

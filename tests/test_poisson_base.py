@@ -7,6 +7,7 @@ import random
 import pytest
 
 from gwpa.errors import BracketMatrixError, JacobiViolationError
+from gwpa.gallery import gr_usl2, p2n
 from gwpa.poisson import (
     BaseDerivation,
     BasePoissonAlgebra,
@@ -16,6 +17,7 @@ from gwpa.poisson import (
 )
 from gwpa.poly import PolyRing
 
+from oracles import derivation_chain_rule
 from sampling import random_polynomial
 
 
@@ -122,6 +124,44 @@ def test_derivation_call_and_chain_rule():
     assert der.image_of("H1") == H2
     assert BaseDerivation.partial(ring, "H1")(H1 ** 3) == 3 * H1 ** 2
     assert BaseDerivation.zero(ring).is_zero
+
+
+def so3_hamiltonian():
+    """The derivation {z, -} of the so(3) base, as generator images."""
+    algebra = so3()
+    x, y, z = algebra.ring.gens()
+    return BaseDerivation.from_images(
+        algebra.ring, {"x": algebra.bracket(z, x), "y": algebra.bracket(z, y)}
+    )
+
+
+@pytest.mark.parametrize(
+    "ders",
+    [p2n(2).partials, gr_usl2().partials, (so3_hamiltonian(),)],
+    ids=["p2n_2", "gr_usl2", "so3"],
+)
+def test_memoized_derivation_matches_chain_rule(ders):
+    rng = random.Random(20)
+    for der in ders:
+        for _ in range(25):
+            fresh = BaseDerivation(der.ring, der.images)  # empty memo
+            f = random_polynomial(der.ring, rng, degree=5, terms=4)
+            expected = derivation_chain_rule(fresh, f)
+            assert fresh(f) == expected  # cold
+            assert fresh(f) == expected  # warm
+            assert der(f) == expected  # memo shared by every sample
+
+
+def test_memo_leaves_equality_and_hash_alone():
+    ring = PolyRing(["H1", "H2"])
+    H1, H2 = ring.gens()
+    used = BaseDerivation.from_images(ring, {"H1": H2, "H2": H1 ** 2})
+    unused = BaseDerivation.from_images(ring, {"H1": H2, "H2": H1 ** 2})
+    assert used(H1 ** 3 * H2 + H2 ** 2) == 3 * H1 ** 2 * H2 ** 2 + H1 ** 5 + 2 * H1 ** 2 * H2
+    assert used == unused
+    assert hash(used) == hash(unused)
+    assert len({used, unused}) == 1
+    assert used != BaseDerivation.from_images(ring, {"H1": H2})
 
 
 def test_derivation_arithmetic_and_embedding():
