@@ -41,28 +41,31 @@ MAX_ALPHA_WINDOW = 12
 
 
 def _resolve(source: str):
-    """Load an algebra from a spec file path or a gallery name."""
+    """Load an algebra from a spec file path or a gallery name.
+
+    Returns the spec kind and the GWPAData or GWAData; an ore document
+    yields the algebra of its realization.
+    """
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
         spec = parse_algebra_spec(text)
         built = spec.build()
-        return spec.kind, built
+        return spec.kind, built.algebra if spec.kind == "ore" else built
     entry = resolve_gallery(source)
     if entry is None:
         raise GwpaError(
             "no such file or gallery name: %r (gallery names: %s)"
             % (source, GALLERY_HELP)
         )
-    kind, algebra, _ = entry
-    return kind, algebra
+    algebra, _ = entry
+    return "gwa" if isinstance(algebra, GWAData) else "gwpa", algebra
 
 
-def _poisson_algebra(kind: str, built) -> GWPAData:
-    if kind == "ore":
-        return built.algebra
-    if isinstance(built, GWPAData):
-        return built
+def _poisson_algebra(source: str) -> GWPAData:
+    _, algebra = _resolve(source)
+    if isinstance(algebra, GWPAData):
+        return algebra
     raise GwpaError("this command needs Poisson algebra data, not a quantization")
 
 
@@ -119,26 +122,20 @@ def _verdict_lines(label: str, verdict) -> list[str]:
 
 
 def _cmd_validate(args) -> tuple[dict, str]:
-    kind, built = _resolve(args.source)
-    if kind == "gwa":
-        ring = built.ring
-        rank = built.rank
-    else:
-        algebra = _poisson_algebra(kind, built)
-        ring = algebra.base_ring
-        rank = algebra.rank
+    kind, algebra = _resolve(args.source)
+    ring = algebra.base_ring
     report = {
         "command": "validate",
         "kind": kind,
         "variables": list(ring.variables),
-        "rank": rank,
+        "rank": algebra.rank,
         "ok": True,
     }
     text = "\n".join(
         [
             "kind: %s" % kind,
             "variables: %s" % ", ".join(ring.variables),
-            "rank: %d" % rank,
+            "rank: %d" % algebra.rank,
             "ok: true",
         ]
     )
@@ -146,32 +143,23 @@ def _cmd_validate(args) -> tuple[dict, str]:
 
 
 def _cmd_bracket(args) -> tuple[dict, str]:
-    kind, built = _resolve(args.source)
-    if kind == "gwa":
-        u = parse_element(args.left, built)
-        v = parse_element(args.right, built)
-        result = u.commutator(v)
-    else:
-        algebra = _poisson_algebra(kind, built)
-        u = parse_element(args.left, algebra)
-        v = parse_element(args.right, algebra)
-        result = u.bracket(v)
-    rendered = str(result)
+    _, algebra = _resolve(args.source)
+    u = parse_element(args.left, algebra)
+    v = parse_element(args.right, algebra)
+    rendered = str(u.commutator(v) if isinstance(algebra, GWAData) else u.bracket(v))
     return {"command": "bracket", "result": rendered}, rendered
 
 
 def _cmd_mul(args) -> tuple[dict, str]:
-    kind, built = _resolve(args.source)
-    target = built if kind == "gwa" else _poisson_algebra(kind, built)
-    u = parse_element(args.left, target)
-    v = parse_element(args.right, target)
+    _, algebra = _resolve(args.source)
+    u = parse_element(args.left, algebra)
+    v = parse_element(args.right, algebra)
     rendered = str(u * v)
     return {"command": "mul", "result": rendered}, rendered
 
 
 def _cmd_centre(args) -> tuple[dict, str]:
-    kind, built = _resolve(args.source)
-    algebra = _poisson_algebra(kind, built)
+    algebra = _poisson_algebra(args.source)
     alpha = _parse_alpha_vector(args.alpha, algebra.rank)
     component = centre_component(algebra, alpha, args.degree)
     rendered = [
@@ -198,8 +186,7 @@ def _cmd_centre(args) -> tuple[dict, str]:
 
 def _cmd_field_check(args) -> tuple[dict, str]:
     window = _parse_alpha_window(args.alpha)
-    kind, built = _resolve(args.source)
-    algebra = _poisson_algebra(kind, built)
+    algebra = _poisson_algebra(args.source)
     verdict = field_criterion(algebra, args.degree, window)
     report = {
         "command": "field-check",
@@ -214,8 +201,7 @@ def _cmd_field_check(args) -> tuple[dict, str]:
 
 def _cmd_simple(args) -> tuple[dict, str]:
     window = _parse_alpha_window(args.alpha)
-    kind, built = _resolve(args.source)
-    algebra = _poisson_algebra(kind, built)
+    algebra = _poisson_algebra(args.source)
     result = simplicity_check(algebra, args.degree, window)
     report = {
         "command": "simple",
@@ -240,8 +226,7 @@ def _cmd_simple(args) -> tuple[dict, str]:
 
 
 def _cmd_closure(args) -> tuple[dict, str]:
-    kind, built = _resolve(args.source)
-    algebra = _poisson_algebra(kind, built)
+    algebra = _poisson_algebra(args.source)
     generators = [parse_element(text, algebra) for text in args.generators]
     result = poisson_ideal_closure(algebra, generators, args.degree)
     report = {
@@ -265,8 +250,8 @@ def _cmd_closure(args) -> tuple[dict, str]:
 
 
 def _cmd_quantize_check(args) -> tuple[dict, str]:
-    kind, built = _resolve(args.source)
-    if kind != "gwa" or not isinstance(built, GWAData):
+    _, built = _resolve(args.source)
+    if not isinstance(built, GWAData):
         raise GwpaError("quantize-check needs a gwa spec or gallery name")
     generators = built.generators()
     pairs = [
@@ -308,12 +293,9 @@ def _cmd_gallery(args) -> tuple[dict, str]:
         raise GwpaError(
             "unknown gallery name %r (choose from %s)" % (args.name, GALLERY_HELP)
         )
-    kind, algebra, meta = entry
-    if kind == "gwa":
-        spec = spec_from_gwa(algebra, gallery=meta)
-    else:
-        spec = spec_from_gwpa(algebra, gallery=meta)
-    text = render_algebra_spec(spec)
+    algebra, meta = entry
+    export = spec_from_gwa if isinstance(algebra, GWAData) else spec_from_gwpa
+    text = render_algebra_spec(export(algebra, gallery=meta))
     report = {"command": "gallery", "name": args.name, "spec": json.loads(text)}
     return report, text.rstrip("\n")
 
@@ -388,14 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("quantize-check", help="graded correspondence check"))
 
-    p = sub.add_parser("gallery", help="list gallery names or print one spec")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
+    p = common(
+        sub.add_parser("gallery", help="list gallery names or print one spec"),
+        source=False,
     )
+    p.add_argument("name", nargs="?", default=None)
     return parser
 
 

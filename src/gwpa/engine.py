@@ -421,18 +421,17 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
                     "derivation %d does not respect the base bracket" % (i + 1),
                 )
             )
-    if not derivations_commute(data.partials):
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = data.partials[i], data.partials[j]
-                if any(a(bi) != b(ai) for bi, ai in zip(b.images, a.images)):
-                    violations.append(
-                        Violation(
-                            "commuting-derivations",
-                            (i + 1, j + 1),
-                            "derivations %d and %d do not commute" % (i + 1, j + 1),
-                        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = data.partials[i], data.partials[j]
+            if any(a(bi) != b(ai) for bi, ai in zip(b.images, a.images)):
+                violations.append(
+                    Violation(
+                        "commuting-derivations",
+                        (i + 1, j + 1),
+                        "derivations %d and %d do not commute" % (i + 1, j + 1),
                     )
+                )
     for i, poly in enumerate(data.a):
         for g, name in zip(gens, names):
             diff = base.bracket(poly, g)

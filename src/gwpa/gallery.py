@@ -123,7 +123,6 @@ class GalleryEntry(NamedTuple):
 
     name: str  # shown in help; a trailing "_N" reads the rank n from the token
     listed: str  # the name ``gwpa gallery`` prints
-    kind: str  # spec kind: "gwpa" or "gwa"
     spec_name: str  # gallery name recorded in a rendered spec
     build: Callable
     params: dict | None  # fixed constructor arguments of a name without "_N"
@@ -131,21 +130,21 @@ class GalleryEntry(NamedTuple):
 
 
 GALLERY = (
-    GalleryEntry("p2", "p2", "gwpa", "p2n", p2n, {"n": 1}),
-    GalleryEntry("p2n_N", "p2n_2", "gwpa", "p2n", p2n, None),
-    GalleryEntry("gr_usl2", "gr_usl2", "gwpa", "gr_usl2", gr_usl2, {}),
+    GalleryEntry("p2", "p2", "p2n", p2n, {"n": 1}),
+    GalleryEntry("p2n_N", "p2n_2", "p2n", p2n, None),
+    GalleryEntry("gr_usl2", "gr_usl2", "gr_usl2", gr_usl2, {}),
     GalleryEntry(
-        "gr_heisenberg_N", "gr_heisenberg_1", "gwpa", "gr_heisenberg", gr_heisenberg, None
+        "gr_heisenberg_N", "gr_heisenberg_1", "gr_heisenberg", gr_heisenberg, None
     ),
-    GalleryEntry("weyl_N", "weyl_1", "gwa", "weyl", weyl_gwa, None),
-    GalleryEntry("usl2", "usl2", "gwa", "usl2_gwa", usl2_gwa, {}, ("usl2_gwa",)),
+    GalleryEntry("weyl_N", "weyl_1", "weyl", weyl_gwa, None),
+    GalleryEntry("usl2", "usl2", "usl2_gwa", usl2_gwa, {}, ("usl2_gwa",)),
 )
 GALLERY_HELP = ", ".join(entry.name for entry in GALLERY)
 
 
 def resolve_gallery(token: str):
-    """Resolve a gallery name to (kind, algebra, spec gallery metadata),
-    or None when no entry has that name."""
+    """Resolve a gallery name to (algebra, spec gallery metadata), or None
+    when no entry has that name."""
     for entry in GALLERY:
         if entry.name.endswith("_N"):
             found = re.fullmatch(re.escape(entry.name[:-1]) + r"(\d+)", token)
@@ -155,5 +154,5 @@ def resolve_gallery(token: str):
             params = dict(entry.params) if named else None
         if params is not None:
             meta = {"name": entry.spec_name, "params": params}
-            return entry.kind, entry.build(**params), meta
+            return entry.build(**params), meta
     return None

@@ -173,10 +173,6 @@ def parse_element(text: str, algebra) -> "GWPAElement":
     Recognized names are the base ring variables plus ``Xi`` and ``Yi`` for
     ``i`` between 1 and the rank.  Factors multiply in written order.
     """
-    return _parse_in_algebra(text, algebra)
-
-
-def _parse_in_algebra(text: str, algebra):
     ring = algebra.base_ring
     atoms = {}
     for name in ring.variables:

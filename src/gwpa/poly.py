@@ -175,12 +175,6 @@ class Polynomial:
         }
         return Polynomial(self.ring, picked)
 
-    def degree_in(self, name: str):
-        i = self.ring.index(name)
-        if not self._terms:
-            return NEG_INF
-        return max(e[i] for e in self._terms)
-
     def variables_used(self) -> tuple[str, ...]:
         """Names of variables appearing with nonzero exponent."""
         used = [False] * self.ring.nvars
@@ -363,16 +357,6 @@ class Polynomial:
             else:
                 out.pop(key, None)
         return Polynomial(target, out)
-
-    def monic(self) -> "Polynomial":
-        """Divide by the graded-lex leading coefficient.  Zero stays zero."""
-        if not self._terms:
-            return self
-        _, lead = self.leading_term()
-        if lead == 1:
-            return self
-        inv = Fraction(1) / Fraction(lead)
-        return self * inv
 
     # -- equality and rendering ------------------------------------------
 

@@ -22,25 +22,34 @@ from .poisson import BaseDerivation, BasePoissonAlgebra
 from .poly import PolyRing, Polynomial, render_polynomial
 from .quant import AffineSubstitution, GWAData
 
-_KEY_ORDER = (
-    "kind",
-    "gallery",
-    "variables",
-    "weights",
-    "bracket",
-    "rank",
-    "a",
-    "degrees",
-    "nu",
-    "partials",
-    "sigmas",
-    "alphas",
-)
-
-_REQUIRED = {
-    "gwpa": ("variables", "bracket", "rank", "a", "partials"),
-    "gwa": ("variables", "weights", "rank", "a", "degrees", "nu", "sigmas"),
-    "ore": ("variables", "bracket", "rank", "partials", "alphas"),
+# The keys of each kind in the order they are listed, read and rendered:
+# key, shape and the sizes of the shape ("n" the number of variables, "r"
+# the rank).  "variables" and "rank" are read first, since the other
+# shapes are sized by them.
+_FIELDS = {
+    "gwpa": (
+        ("variables", "names", ()),
+        ("bracket", "matrix", ("n", "n")),
+        ("rank", "rank", ()),
+        ("a", "polys", ("r",)),
+        ("partials", "matrix", ("r", "n")),
+    ),
+    "gwa": (
+        ("variables", "names", ()),
+        ("weights", "ints", ("n",)),
+        ("rank", "rank", ()),
+        ("a", "polys", ("r",)),
+        ("degrees", "ints", ("r",)),
+        ("nu", "int", ()),
+        ("sigmas", "matrix", ("r", "n")),
+    ),
+    "ore": (
+        ("variables", "names", ()),
+        ("bracket", "matrix", ("n", "n")),
+        ("rank", "rank", ()),
+        ("partials", "matrix", ("r", "n")),
+        ("alphas", "polys", ("r",)),
+    ),
 }
 
 
@@ -70,9 +79,13 @@ class AlgebraSpec:
         return _build(self)
 
 
-def _string_list(value, location, length=None) -> tuple[str, ...]:
-    if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
-        raise SpecError("expected a list of strings", location)
+def _list(value, location, item, length=None) -> tuple:
+    """A JSON list whose entries all have type ``item`` (str or int)."""
+    if not isinstance(value, list) or any(type(x) is not item for x in value):
+        raise SpecError(
+            "expected a list of %s" % ("strings" if item is str else "integers"),
+            location,
+        )
     if length is not None and len(value) != length:
         raise SpecError(
             "expected %d entries, found %d" % (length, len(value)), location
@@ -80,38 +93,45 @@ def _string_list(value, location, length=None) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _int_list(value, location, length) -> tuple[int, ...]:
-    if not isinstance(value, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) for x in value
-    ):
-        raise SpecError("expected a list of integers", location)
-    if len(value) != length:
-        raise SpecError(
-            "expected %d entries, found %d" % (length, len(value)), location
-        )
-    return tuple(value)
-
-
-def _poly(text: str, ring: PolyRing, location: str) -> Polynomial:
-    try:
-        return parse_polynomial(text, ring)
-    except ParseError as exc:
-        raise SpecError(str(exc), location) from exc
-
-
-def _matrix(value, ring, location, rows, cols):
+def _read(value, shape, sizes, ring, location):
+    """Check one field of the given shape and canonicalize its entries."""
+    if shape == "int":
+        if type(value) is not int:
+            raise SpecError("expected an integer", location)
+        return value
+    if shape == "ints":
+        return _list(value, location, int, *sizes)
+    if shape == "polys":
+        parsed = []
+        for i, text in enumerate(_list(value, location, str, *sizes)):
+            try:
+                parsed.append(render_polynomial(parse_polynomial(text, ring)))
+            except ParseError as exc:
+                raise SpecError(str(exc), "%s[%d]" % (location, i)) from exc
+        return tuple(parsed)
+    rows, cols = sizes
     if not isinstance(value, list) or len(value) != rows:
         raise SpecError("expected %d rows" % rows, location)
-    parsed = []
-    for i, row in enumerate(value):
-        entries = _string_list(row, "%s[%d]" % (location, i), cols)
-        parsed.append(
-            tuple(
-                _poly(text, ring, "%s[%d][%d]" % (location, i, j))
-                for j, text in enumerate(entries)
-            )
-        )
-    return tuple(parsed)
+    return tuple(
+        _read(row, "polys", (cols,), ring, "%s[%d]" % (location, i))
+        for i, row in enumerate(value)
+    )
+
+
+def _parsed(value, ring):
+    """Polynomials for the canonical strings of a field, at any depth."""
+    if isinstance(value, str):
+        return parse_polynomial(value, ring)
+    return tuple(_parsed(entry, ring) for entry in value)
+
+
+def _rendered(value):
+    """Canonical strings for the polynomials of a field, at any depth."""
+    if isinstance(value, Polynomial):
+        return render_polynomial(value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_rendered(entry) for entry in value)
+    return value
 
 
 def _make_ring(variables, location) -> PolyRing:
@@ -156,22 +176,22 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
     if not isinstance(doc, dict):
         raise SpecError("top level must be an object")
     kind = doc.get("kind")
-    if kind not in _REQUIRED:
+    if kind not in _FIELDS:
         raise SpecError(
-            "kind must be one of %s" % ", ".join(sorted(_REQUIRED)), "kind"
+            "kind must be one of %s" % ", ".join(sorted(_FIELDS)), "kind"
         )
-    allowed = set(_REQUIRED[kind]) | {"kind", "gallery"}
-    extras = set(doc) - allowed
+    keys = [key for key, _, _ in _FIELDS[kind]]
+    extras = set(doc) - set(keys) - {"kind", "gallery"}
     if extras:
         raise SpecError("unknown keys %r for kind %s" % (sorted(extras), kind))
-    missing = [key for key in _REQUIRED[kind] if key not in doc]
+    missing = [key for key in keys if key not in doc]
     if missing:
         raise SpecError("missing keys %r for kind %s" % (missing, kind))
 
-    variables = _string_list(doc["variables"], "variables")
+    variables = _list(doc["variables"], "variables", str)
     ring = _make_ring(variables, "variables")
     rank = doc["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise SpecError("expected a positive integer", "rank")
 
     fields: dict = {
@@ -181,52 +201,12 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
     }
     if "gallery" in doc:
         fields["gallery"] = _canonical_gallery(doc["gallery"])
-
-    nvars = ring.nvars
-    if kind == "gwpa":
-        bracket = _matrix(doc["bracket"], ring, "bracket", nvars, nvars)
-        a = [
-            _poly(text, ring, "a[%d]" % i)
-            for i, text in enumerate(_string_list(doc["a"], "a", rank))
-        ]
-        partials = _matrix(doc["partials"], ring, "partials", rank, nvars)
-        fields["bracket"] = tuple(
-            tuple(render_polynomial(p) for p in row) for row in bracket
-        )
-        fields["a"] = tuple(render_polynomial(p) for p in a)
-        fields["partials"] = tuple(
-            tuple(render_polynomial(p) for p in row) for row in partials
-        )
-    elif kind == "gwa":
-        fields["weights"] = _int_list(doc["weights"], "weights", nvars)
-        a = [
-            _poly(text, ring, "a[%d]" % i)
-            for i, text in enumerate(_string_list(doc["a"], "a", rank))
-        ]
-        fields["a"] = tuple(render_polynomial(p) for p in a)
-        fields["degrees"] = _int_list(doc["degrees"], "degrees", rank)
-        nu = doc["nu"]
-        if not isinstance(nu, int) or isinstance(nu, bool):
-            raise SpecError("expected an integer", "nu")
-        fields["nu"] = nu
-        sigmas = _matrix(doc["sigmas"], ring, "sigmas", rank, nvars)
-        fields["sigmas"] = tuple(
-            tuple(render_polynomial(p) for p in row) for row in sigmas
-        )
-    else:
-        bracket = _matrix(doc["bracket"], ring, "bracket", nvars, nvars)
-        partials = _matrix(doc["partials"], ring, "partials", rank, nvars)
-        alphas = [
-            _poly(text, ring, "alphas[%d]" % i)
-            for i, text in enumerate(_string_list(doc["alphas"], "alphas", rank))
-        ]
-        fields["bracket"] = tuple(
-            tuple(render_polynomial(p) for p in row) for row in bracket
-        )
-        fields["partials"] = tuple(
-            tuple(render_polynomial(p) for p in row) for row in partials
-        )
-        fields["alphas"] = tuple(render_polynomial(p) for p in alphas)
+    sizes = {"n": ring.nvars, "r": rank}
+    for key, shape, dims in _FIELDS[kind]:
+        if key not in fields:
+            fields[key] = _read(
+                doc[key], shape, tuple(sizes[d] for d in dims), ring, key
+            )
 
     spec = AlgebraSpec(**fields)
     _build(spec)
@@ -235,110 +215,79 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
 
 def _build(spec: AlgebraSpec):
     ring = _make_ring(spec.variables, "variables")
-    if spec.kind == "gwpa":
-        matrix = [
-            [parse_polynomial(text, ring) for text in row] for row in spec.bracket
-        ]
-        try:
-            base = BasePoissonAlgebra(ring, matrix)
-        except GwpaError as exc:
-            raise SpecError(str(exc), "bracket") from exc
-        a = tuple(parse_polynomial(text, ring) for text in spec.a)
-        partials = tuple(
-            BaseDerivation(ring, tuple(parse_polynomial(text, ring) for text in row))
-            for row in spec.partials
-        )
-        try:
-            return GWPAData.checked(base, a, partials)
-        except ValidationFailure as exc:
-            raise SpecError(str(exc)) from exc
+    field = {
+        key: _parsed(getattr(spec, key), ring)
+        for key, shape, _ in _FIELDS[spec.kind]
+        if shape in ("polys", "matrix")
+    }
     if spec.kind == "gwa":
         sigmas = []
-        for i, row in enumerate(spec.sigmas):
-            images = tuple(parse_polynomial(text, ring) for text in row)
+        for i, images in enumerate(field["sigmas"]):
             try:
                 sigmas.append(AffineSubstitution(ring, images))
             except GwpaError as exc:
                 raise SpecError(str(exc), "sigmas[%d]" % i) from exc
-        a = tuple(parse_polynomial(text, ring) for text in spec.a)
         try:
-            return GWAData(ring, sigmas, a, spec.weights, spec.degrees, spec.nu)
+            return GWAData(
+                ring, sigmas, field["a"], spec.weights, spec.degrees, spec.nu
+            )
         except GwpaError as exc:
             raise SpecError(str(exc)) from exc
-    matrix = [
-        [parse_polynomial(text, ring) for text in row] for row in spec.bracket
-    ]
     try:
-        base = BasePoissonAlgebra(ring, matrix)
+        base = BasePoissonAlgebra(ring, field["bracket"])
     except GwpaError as exc:
         raise SpecError(str(exc), "bracket") from exc
-    partials = tuple(
-        BaseDerivation(ring, tuple(parse_polynomial(text, ring) for text in row))
-        for row in spec.partials
-    )
-    alphas = tuple(parse_polynomial(text, ring) for text in spec.alphas)
+    partials = tuple(BaseDerivation(ring, images) for images in field["partials"])
+    if spec.kind == "gwpa":
+        try:
+            return GWPAData.checked(base, field["a"], partials)
+        except ValidationFailure as exc:
+            raise SpecError(str(exc)) from exc
     try:
-        return from_ore_data(base, partials, alphas)
+        return from_ore_data(base, partials, field["alphas"])
     except (GwpaError, ValidationFailure) as exc:
         raise SpecError(str(exc)) from exc
 
 
 def render_algebra_spec(spec: AlgebraSpec) -> str:
     """Serialize with a fixed key order; output ends with a newline."""
-    doc: dict = {}
-    for key in _KEY_ORDER:
-        value = getattr(spec, key, None)
-        if value is None:
-            continue
-        if key == "gallery":
-            items = dict(value)
-            doc[key] = {
-                "name": items.pop("name"),
-                "params": {k: items[k] for k in sorted(items)},
-            }
-        elif key in ("bracket", "partials", "sigmas"):
-            doc[key] = [list(row) for row in value]
-        elif key in ("variables", "weights", "a", "degrees", "alphas"):
-            doc[key] = list(value)
-        else:
-            doc[key] = value
+    doc: dict = {"kind": spec.kind}
+    if spec.gallery is not None:
+        params = dict(spec.gallery)
+        doc["gallery"] = {"name": params.pop("name"), "params": params}
+    for key, _, _ in _FIELDS[spec.kind]:
+        doc[key] = getattr(spec, key)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _export(kind, A, gallery, **values) -> AlgebraSpec:
+    fields = {"kind": kind, "variables": A.base_ring.variables, "rank": A.rank}
+    fields.update((key, _rendered(value)) for key, value in values.items())
+    if gallery is not None:
+        fields["gallery"] = _canonical_gallery(gallery)
+    return AlgebraSpec(**fields)
 
 
 def spec_from_gwpa(A: GWPAData, gallery=None) -> AlgebraSpec:
     """Export defining data; the result parses back to an equal algebra."""
-    ring = A.base_ring
-    fields = {
-        "kind": "gwpa",
-        "variables": ring.variables,
-        "rank": A.rank,
-        "bracket": tuple(
-            tuple(render_polynomial(p) for p in row) for row in A.base.matrix
-        ),
-        "a": tuple(render_polynomial(p) for p in A.a),
-        "partials": tuple(
-            tuple(render_polynomial(p) for p in der.images) for der in A.partials
-        ),
-    }
-    if gallery is not None:
-        fields["gallery"] = _canonical_gallery(gallery)
-    return AlgebraSpec(**fields)
+    return _export(
+        "gwpa",
+        A,
+        gallery,
+        bracket=A.base.matrix,
+        a=A.a,
+        partials=[der.images for der in A.partials],
+    )
 
 
 def spec_from_gwa(A: GWAData, gallery=None) -> AlgebraSpec:
-    fields = {
-        "kind": "gwa",
-        "variables": A.ring.variables,
-        "rank": A.rank,
-        "weights": A.weights,
-        "a": tuple(render_polynomial(p) for p in A.a),
-        "degrees": A.degrees,
-        "nu": A.nu,
-        "sigmas": tuple(
-            tuple(render_polynomial(img) for img in sigma.images)
-            for sigma in A.sigmas
-        ),
-    }
-    if gallery is not None:
-        fields["gallery"] = _canonical_gallery(gallery)
-    return AlgebraSpec(**fields)
+    return _export(
+        "gwa",
+        A,
+        gallery,
+        weights=A.weights,
+        a=A.a,
+        degrees=A.degrees,
+        nu=A.nu,
+        sigmas=[sigma.images for sigma in A.sigmas],
+    )

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shlex
 import types
 
 from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
 from gwpa.gallery import univariate_family
 from gwpa.specfile import render_algebra_spec, spec_from_gwpa
 
-SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPEC_DIR = ROOT / "specs"
 
 
 def run(capsys, *argv):
@@ -233,3 +235,51 @@ def test_invalid_spec_reports_violations(capsys, tmp_path):
     assert code == 1
     assert "error: invalid algebra data" in err
     assert "commuting-derivations" in err
+
+
+def test_ore_spec_file_is_realized(capsys, tmp_path):
+    doc = {
+        "kind": "ore",
+        "variables": ["Z"],
+        "bracket": [["0"]],
+        "rank": 1,
+        "partials": [["1"]],
+        "alphas": ["Z"],
+    }
+    path = tmp_path / "ore.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert out == "kind: ore\nvariables: Z, H1\nrank: 1\nok: true\n"
+    assert run(capsys, "bracket", str(path), "Y1", "X1") == (0, "Z\n", "")
+    assert run(capsys, "mul", str(path), "X1", "Z*Y1") == (0, "Z*H1\n", "")
+    assert run(capsys, "quantize-check", str(path)) == (
+        1,
+        "",
+        "error: quantize-check needs a gwa spec or gallery name\n",
+    )
+
+
+def readme_examples():
+    """(command, expected lines) for each ``$ gwpa ...`` example in the
+    README "Command line" section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("\n\n"):
+        first, *rest = block.split("\n")
+        if first.startswith("    $ gwpa "):
+            examples.append((first[len("    $ gwpa "):], [line[4:] for line in rest]))
+    return examples
+
+
+def test_readme_command_line_examples(capsys):
+    examples = readme_examples()
+    assert examples
+    for command, expected in examples:
+        command, _, head = command.partition(" | head -")
+        code, out, err = run(capsys, *shlex.split(command))
+        lines = out.splitlines()
+        if head:
+            lines = lines[: int(head)]
+        assert (code, err, lines) == (0, "", expected), command
