@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 from .engine import GWPAData, GWPAElement
 from .errors import GwpaError
 from .linalg import Echelon, nullspace
-from .poly import Polynomial, PolyRing, grlex_key, monomials_up_to
+from .poly import Polynomial, PolyRing, _from_values, _make, monomial_keys
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,23 @@ def _kernel_polynomials(
     """
     if degree < 0:
         raise GwpaError("degree bound must be nonnegative")
-    monos = monomials_up_to(ring, degree)
-    rows_map: dict[tuple[int, tuple[int, ...]], list] = {}
-    for col, exps in enumerate(monos):
-        mono = Polynomial(ring, {exps: 1})
+    monos = monomial_keys(ring, degree)
+    # Rows are keyed (operator, packed monomial), which sort in graded order.
+    rows_map: dict[tuple[int, int], list] = {}
+    for col, key in enumerate(monos):
+        mono = _make(ring, {key: 1})
         for k, op in enumerate(operators):
-            result = op(mono)
-            for r_exps, coeff in result.items():
-                key = (k, r_exps)
-                row = rows_map.get(key)
+            for r_key, coeff in op(mono).packed_items():
+                row = rows_map.get((k, r_key))
                 if row is None:
-                    row = [0] * len(monos)
-                    rows_map[key] = row
+                    row = rows_map[(k, r_key)] = [0] * len(monos)
                 row[col] = coeff
-    matrix = [
-        rows_map[key]
-        for key in sorted(rows_map, key=lambda t: (t[0], grlex_key(t[1])))
-    ]
+    matrix = [rows_map[key] for key in sorted(rows_map)]
     vectors = nullspace(matrix, ncols=len(monos))
-    basis = []
-    for vec in vectors:
-        terms = {monos[i]: vec[i] for i in range(len(monos)) if vec[i]}
-        basis.append(Polynomial(ring, terms))
-    return tuple(basis)
+    return tuple(
+        _from_values(ring, {monos[i]: c for i, c in enumerate(vec) if c})
+        for vec in vectors
+    )
 
 
 def constants_basis(A: GWPAData, degree: int) -> CentreComponent:
@@ -252,19 +246,16 @@ class ClosureReport:
 
 
 def _closure_coordinates(A: GWPAData, bound: int):
+    """Coordinates (alpha, packed monomial) of weight at most ``bound``,
+    ascending in weight, then alpha, then graded order."""
     ring = A.base_ring
-    coords: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    coords: list[tuple[int, tuple[int, ...], int]] = []
     for alpha in [(0,) * A.rank] + nonzero_alphas(A.rank, bound):
-        rest = bound - sum(abs(x) for x in alpha)
-        for exps in monomials_up_to(ring, rest):
-            coords.append((alpha, exps))
-    coords.sort(
-        key=lambda c: (
-            sum(abs(x) for x in c[0]) + sum(c[1]),
-            c[0],
-            grlex_key(c[1]),
-        )
-    )
+        size = sum(abs(x) for x in alpha)
+        for key in monomial_keys(ring, bound - size):
+            coords.append((size + (key >> ring.top), alpha, key))
+    coords.sort()
+    coords = [(alpha, key) for _, alpha, key in coords]
     index = {c: i for i, c in enumerate(coords)}
     return coords, index
 
@@ -272,8 +263,8 @@ def _closure_coordinates(A: GWPAData, bound: int):
 def _element_to_vector(u: GWPAElement, index) -> dict[int, object] | None:
     vec: dict[int, object] = {}
     for alpha, poly in u.items():
-        for exps, coeff in poly.items():
-            idx = index.get((alpha, exps))
+        for key, coeff in poly.packed_items():
+            idx = index.get((alpha, key))
             if idx is None:
                 return None
             vec[idx] = coeff
@@ -284,10 +275,10 @@ def _vector_to_element(A: GWPAData, vec, coords) -> GWPAElement:
     ring = A.base_ring
     terms: dict[tuple[int, ...], dict] = {}
     for idx, coeff in vec.items():
-        alpha, exps = coords[idx]
-        terms.setdefault(alpha, {})[exps] = coeff
+        alpha, key = coords[idx]
+        terms.setdefault(alpha, {})[key] = coeff
     return GWPAElement(
-        A, {alpha: Polynomial(ring, t) for alpha, t in terms.items()}
+        A, {alpha: _from_values(ring, t) for alpha, t in terms.items()}
     )
 
 
@@ -343,11 +334,11 @@ def poisson_ideal_closure(
     # would.  The order matters: it decides which rows the span reports.
     ring = A.base_ring
     multipliers: list[tuple[int, GWPAElement]] = []
-    for alpha, exps in coords:
-        weight = sum(abs(x) for x in alpha) + sum(exps)
+    for alpha, key in coords:
+        weight = sum(abs(x) for x in alpha) + (key >> ring.top)
         if weight >= 1:
             multipliers.append(
-                (weight, A.element({alpha: Polynomial(ring, {exps: 1})}))
+                (weight, A.element({alpha: _make(ring, {key: 1})}))
             )
     bracket_gens = A.generators()
 

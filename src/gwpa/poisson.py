@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BracketMatrixError, GwpaError, JacobiViolationError
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _combination, check_degree
 
 
 @dataclass(frozen=True)
@@ -199,37 +199,30 @@ class BaseDerivation:
         return self.images[self.ring.index(name)]
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        if f.ring != self.ring:
+        if f.ring is not self.ring and f.ring != self.ring:
             raise GwpaError("derivation applied to polynomial over a different ring")
         memo = self._monomial_images
-        out: dict = {}
-        for exps, coeff in f.items():
-            image = memo.get(exps)
-            if image is None:
-                image = memo[exps] = self._monomial_image(exps)
-            for r_exps, r_coeff in image.items():
-                acc = out.get(r_exps, 0) + coeff * r_coeff
-                if acc:
-                    out[r_exps] = acc
-                else:
-                    out.pop(r_exps, None)
-        return Polynomial(self.ring, out)
 
-    def _monomial_image(self, exps: tuple[int, ...]) -> Polynomial:
-        """Chain rule on one monomial: sum_v e_v x^(exps - 1_v) D(x_v)."""
-        out: dict = {}
-        for v, (e, image) in enumerate(zip(exps, self.images)):
-            if not e:
-                continue
-            lowered = exps[:v] + (e - 1,) + exps[v + 1 :]
-            for i_exps, i_coeff in image.items():
-                key = tuple(x + y for x, y in zip(lowered, i_exps))
-                acc = out.get(key, 0) + e * i_coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.ring, out)
+        def image_of(key: int) -> Polynomial:
+            image = memo.get(key)
+            if image is None:
+                image = memo[key] = self._monomial_image(key)
+            return image
+
+        return f.map_monomials(image_of)
+
+    def _monomial_image(self, key: int) -> Polynomial:
+        """Chain rule on one packed monomial: the sum over variables v of
+        e_v x^(key - unit_v) D(x_v)."""
+        ring = self.ring
+        parts = [
+            (e, key - unit, image)
+            for e, unit, image in zip(ring.unpack(key), ring.units, self.images)
+            if e and not image.is_zero
+        ]
+        for _, lowered, image in parts:
+            check_degree((lowered >> ring.top) + image.total_degree)
+        return _combination(ring, parts)
 
     def negated(self) -> "BaseDerivation":
         return BaseDerivation(self.ring, tuple(-img for img in self.images))

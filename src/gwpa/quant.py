@@ -17,6 +17,7 @@ commutators against that predicted bracket on supplied element pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .engine import (
     GradedAlgebra,
@@ -151,24 +152,26 @@ class GWAElement(GradedElement):
 
     @property
     def degree(self):
-        """Filtration degree; NEG_INF for the zero element."""
+        """Filtration degree, an int or a half-integer Fraction; NEG_INF
+        for the zero element."""
         if not self._terms:
             return NEG_INF
-        return max(
-            self.algebra.term_degree(alpha, poly)
+        twice = max(
+            self.algebra.twice_term_degree(alpha, poly)
             for alpha, poly in self._terms.items()
         )
+        return twice // 2 if twice % 2 == 0 else Fraction(twice, 2)
 
     def homogeneous_part(self, target) -> "GWAElement":
         """The slice of exact filtration degree ``target``."""
         A = self.algebra
+        twice = 2 * target
         out = {}
         for alpha, poly in self._terms.items():
-            weight = sum(d * abs(k) for d, k in zip(A.degrees, alpha))
-            coefficient_degree = Fraction(target) - Fraction(weight, 2)
-            if coefficient_degree.denominator != 1 or coefficient_degree < 0:
+            rest = twice - sum(d * abs(k) for d, k in zip(A.degrees, alpha))
+            if rest < 0 or rest % 2:
                 continue
-            piece = poly.weighted_component(A.weights, int(coefficient_degree))
+            piece = poly.weighted_component(A.weights, rest // 2)
             if not piece.is_zero:
                 out[alpha] = piece
         return self._new(out)
@@ -304,19 +307,17 @@ class GWAData(GradedAlgebra):
         """Twist of a coefficient moved left past v_alpha: sigma_alpha(poly)."""
         if all(k == 0 for k in alpha) or poly.is_zero or poly.is_constant:
             return poly
-        total = self.ring.zero()
-        for exps, coeff in poly.items():
-            key = (alpha, exps)
-            image = self._monomial_images.get(key)
+        memo = self._monomial_images
+
+        def image_of(key):
+            image = memo.get((alpha, key))
             if image is None:
-                substitution = self.sigma_alpha(alpha)
-                image = self.ring.one()
-                for j, e in enumerate(exps):
-                    if e:
-                        image = image * substitution.images[j] ** e
-                self._monomial_images[key] = image
-            total = total + image * coeff
-        return total
+                images = self.sigma_alpha(alpha).images
+                factors = (s ** e for s, e in zip(images, self.ring.unpack(key)) if e)
+                image = memo[(alpha, key)] = prod(factors, start=self.ring.one())
+            return image
+
+        return poly.map_monomials(image_of)
 
     def shifted_parameter(self, i: int, k: int) -> Polynomial:
         key = (i, k)
@@ -349,11 +350,10 @@ class GWAData(GradedAlgebra):
         gens.extend(self.Y(i) for i in range(1, self.rank + 1))
         return gens
 
-    def term_degree(self, alpha, poly: Polynomial):
-        if poly.is_zero:
-            return NEG_INF
+    def twice_term_degree(self, alpha, poly: Polynomial) -> int:
+        """Twice the filtration degree of the nonzero term poly v_alpha."""
         weight = sum(d * abs(k) for d, k in zip(self.degrees, alpha))
-        return poly.weighted_degree(self.weights) + Fraction(weight, 2)
+        return 2 * poly.weighted_degree(self.weights) + weight
 
 
 # -- graded correspondence ---------------------------------------------------
@@ -438,8 +438,9 @@ def gr_correspondence_check(A: GWAData, pairs) -> GrReport:
         s = u.degree
         t = v.degree
         commutator = u.commutator(v)
+        commutator_degree = commutator.degree
         expected = s + t - A.nu
-        drops = commutator.degree <= expected
+        drops = commutator_degree <= expected
         graded = _graded_image(target, commutator, expected)
         left_bar = _graded_image(target, u, s)
         right_bar = _graded_image(target, v, t)
@@ -451,7 +452,7 @@ def gr_correspondence_check(A: GWAData, pairs) -> GrReport:
                 left_degree=s,
                 right_degree=t,
                 commutator=commutator,
-                commutator_degree=commutator.degree,
+                commutator_degree=commutator_degree,
                 expected_degree=expected,
                 degree_drops=drops,
                 graded_bracket=graded,

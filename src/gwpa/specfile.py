@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .engine import GWPAData, from_ore_data
-from .errors import GwpaError, ParseError, SpecError, ValidationFailure
+from .errors import GwpaError, ParseError, SpecError
 from .parser import parse_polynomial
 from .poisson import BaseDerivation, BasePoissonAlgebra
 from .poly import PolyRing, Polynomial, render_polynomial
@@ -238,14 +238,11 @@ def _build(spec: AlgebraSpec):
     except GwpaError as exc:
         raise SpecError(str(exc), "bracket") from exc
     partials = tuple(BaseDerivation(ring, images) for images in field["partials"])
-    if spec.kind == "gwpa":
-        try:
-            return GWPAData.checked(base, field["a"], partials)
-        except ValidationFailure as exc:
-            raise SpecError(str(exc)) from exc
     try:
+        if spec.kind == "gwpa":
+            return GWPAData.checked(base, field["a"], partials)
         return from_ore_data(base, partials, field["alphas"])
-    except (GwpaError, ValidationFailure) as exc:
+    except GwpaError as exc:
         raise SpecError(str(exc)) from exc
 
 

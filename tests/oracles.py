@@ -10,11 +10,14 @@ which the defining relations give directly.  It shares nothing with the
 library's closed-form term bracket except the product, so agreement checks
 that closed form.  :func:`derivation_chain_rule` applies a derivation term
 by term from its generator images, as a check on the memoized
-:meth:`BaseDerivation.__call__`.
+:meth:`BaseDerivation.__call__`.  :class:`TuplePolynomial` is the plain
+arithmetic on exponent tuples and Fraction coefficients that the packed
+:class:`gwpa.poly.Polynomial` kernel must agree with.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from gwpa.engine import GWPAData, GWPAElement
@@ -169,3 +172,117 @@ def derivation_chain_rule(der: BaseDerivation, f: Polynomial) -> Polynomial:
                 lowered = exps[:v] + (e - 1,) + exps[v + 1 :]
                 out = out + ring.monomial(lowered, coeff * e) * image
     return out
+
+
+def _normal(value):
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+class TuplePolynomial:
+    """Reference polynomial: a map from exponent tuples to nonzero int or
+    Fraction coefficients, with schoolbook arithmetic on those tuples.
+
+    ``terms``, ``str`` and the hash formula are what the library's
+    ``Polynomial.terms()``, ``str`` and ``hash`` must reproduce.
+    """
+
+    def __init__(self, variables, terms):
+        self.variables = tuple(variables)
+        self.terms = {tuple(e): _normal(c) for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, poly: Polynomial) -> "TuplePolynomial":
+        return cls(poly.ring.variables, poly.terms())
+
+    def _new(self, terms) -> "TuplePolynomial":
+        return TuplePolynomial(self.variables, terms)
+
+    def _const(self, value) -> "TuplePolynomial":
+        return self._new({(0,) * len(self.variables): value})
+
+    def __add__(self, other):
+        if not isinstance(other, TuplePolynomial):
+            other = self._const(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, 0) + c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, TuplePolynomial):
+            return self._new({e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(x + y for x, y in zip(e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+        return self._new(out)
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / Fraction(scalar))
+
+    def __pow__(self, n: int):
+        result = self._const(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def partial(self, i: int) -> "TuplePolynomial":
+        out = {}
+        for exps, c in self.terms.items():
+            if exps[i]:
+                out[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = c * exps[i]
+        return self._new(out)
+
+    def substitute(self, images: dict) -> "TuplePolynomial":
+        """Replace the variable of index i by ``images[i]``."""
+        n = len(self.variables)
+        total = self._new({})
+        for exps, c in self.terms.items():
+            term = self._const(c)
+            for i, e in enumerate(exps):
+                unit = tuple(int(j == i) for j in range(n))
+                term = term * images.get(i, self._new({unit: 1})) ** e
+            total = total + term
+        return total
+
+    def weighted_component(self, weights, degree) -> "TuplePolynomial":
+        return self._new(
+            {
+                e: c
+                for e, c in self.terms.items()
+                if sum(x * w for x, w in zip(e, weights)) == degree
+            }
+        )
+
+    def coefficient(self, exps):
+        return self.terms.get(tuple(exps), 0)
+
+    def hash_value(self) -> int:
+        return hash((self.variables, tuple(sorted(self.terms.items()))))
+
+    def __str__(self):
+        ordered = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        if not ordered:
+            return "0"
+        pieces = []
+        for k, (exps, c) in enumerate(ordered):
+            mono = "*".join(
+                name if e == 1 else "%s^%d" % (name, e)
+                for name, e in zip(self.variables, exps)
+                if e
+            )
+            mag = abs(c)
+            body = str(mag) if not mono else mono if mag == 1 else "%s*%s" % (mag, mono)
+            if k == 0:
+                pieces.append("-" + body if c < 0 else body)
+            else:
+                pieces.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(pieces)

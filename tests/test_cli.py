@@ -220,6 +220,21 @@ def test_computation_errors_exit_one(capsys, tmp_path):
     assert "rank" in err
 
 
+def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):
+    limit = 2 ** 32
+    error = "error: monomial total degree %d exceeds the limit of %d\n" % (
+        limit, limit - 1,
+    )
+    half = "H1^%d" % (limit // 2)
+    assert run(capsys, "mul", "p2", "--", half, "H1^%d" % (limit // 2 - 1)) == (
+        0, "H1^%d\n" % (limit - 1), "",
+    )
+    assert run(capsys, "mul", "p2", "--", "H1^%d" % limit, "H1^%d" % (limit - 1)) == (
+        1, "", error,
+    )
+    assert run(capsys, "mul", "p2", "--", half, half) == (1, "", error)
+
+
 def test_invalid_spec_reports_violations(capsys, tmp_path):
     doc = {
         "kind": "gwpa",

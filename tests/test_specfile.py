@@ -198,6 +198,23 @@ def test_structural_violations_surface_with_cause():
     assert cause.report.violations[0].condition == "commuting-derivations"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "gwpa", "variables": ["X1"], "bracket": [["0"]], "rank": 1,
+         "a": ["X1"], "partials": [["1"]]},
+        {"kind": "gwa", "variables": ["X1"], "weights": [1], "rank": 1,
+         "a": ["X1"], "degrees": [1], "nu": 1, "sigmas": [["X1 - 1"]]},
+        {"kind": "ore", "variables": ["X1"], "bracket": [["0"]], "rank": 1,
+         "partials": [["0"]], "alphas": ["1"]},
+    ],
+    ids=lambda doc: doc["kind"],
+)
+def test_generator_name_clash_is_a_spec_error(doc):
+    with pytest.raises(SpecError, match="clashes with the generator names"):
+        parse_algebra_spec(json.dumps(doc))
+
+
 def test_gwa_document_errors():
     base = {
         "kind": "gwa",
