@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Sequence
 
 from .engine import GWPAData, GWPAElement
 from .errors import GwpaError
 from .linalg import Echelon, nullspace
-from .poly import Polynomial, PolyRing, _from_values, _make, monomial_keys
+from .poly import Polynomial, PolyRing, _from_values, _make, _reduced, monomial_keys
 
 
 @dataclass(frozen=True)
@@ -260,26 +261,31 @@ def _closure_coordinates(A: GWPAData, bound: int):
     return coords, index
 
 
-def _element_to_vector(u: GWPAElement, index) -> dict[int, object] | None:
-    vec: dict[int, object] = {}
-    for alpha, poly in u.items():
-        for key, coeff in poly.packed_items():
+def _element_to_vector(u: GWPAElement, index) -> dict[int, int] | None:
+    """The coordinates of ``u`` times the lcm of its denominators."""
+    scale = 1
+    for poly in u._terms.values():
+        if poly._den != 1:
+            scale = lcm(scale, poly._den)
+    vec: dict[int, int] = {}
+    for alpha, poly in u._terms.items():
+        factor = scale // poly._den
+        for key, coeff in poly._terms.items():
             idx = index.get((alpha, key))
             if idx is None:
                 return None
-            vec[idx] = coeff
+            vec[idx] = coeff * factor
     return vec
 
 
-def _vector_to_element(A: GWPAData, vec, coords) -> GWPAElement:
-    ring = A.base_ring
+def _vector_to_element(A: GWPAData, row: dict, coords) -> GWPAElement:
+    """The element of a tracker row: ``row`` divided by its pivot entry."""
+    pivot = row[min(row)]
     terms: dict[tuple[int, ...], dict] = {}
-    for idx, coeff in vec.items():
+    for idx, coeff in row.items():
         alpha, key = coords[idx]
         terms.setdefault(alpha, {})[key] = coeff
-    return GWPAElement(
-        A, {alpha: _from_values(ring, t) for alpha, t in terms.items()}
-    )
+    return A.zero()._new({a: _reduced(A.base_ring, t, pivot) for a, t in terms.items()})
 
 
 def poisson_ideal_closure(

@@ -11,6 +11,7 @@ means the computation ran (even when a mathematical verdict is negative),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -310,6 +311,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built by the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwpa",

@@ -522,7 +522,7 @@ def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
 
     carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.
     """
-    base = A.base.bracket(d, e)
+    base = d.ring.zero() if A.base.is_trivial else A.base.bracket(d, e)
     drift = _drift(A, alpha, e)
     if drift is not None:
         base = base - d * drift
@@ -557,6 +557,8 @@ def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
 
 def _drift(A: GWPAData, weights, f: Polynomial) -> Polynomial | None:
     """E_weights(f) = sum_i weights_i p_i(f), or None when it vanishes."""
+    if f.is_constant:
+        return None
     drift = None
     for i, k in enumerate(weights):
         if k:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
+from .poly import Polynomial, check_degree
 
 _SYMBOLS = {"+", "-", "*", "^", "/"}
 
@@ -149,8 +150,6 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
 def parse_polynomial(text: str, ring) -> "Polynomial":
     """Parse text as a polynomial over the given ring."""
-    from .poly import Polynomial
-
     total = ring.zero()
     for coeff, factors in parse_terms(text):
         exps = [0] * ring.nvars
@@ -191,6 +190,8 @@ def parse_element(text: str, algebra) -> "GWPAElement":
                     text,
                     where,
                 )
+            if name in ring.variables:
+                check_degree(power)
             piece = piece * atoms[name] ** power
         total = total + piece
     return total

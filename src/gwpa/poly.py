@@ -307,6 +307,8 @@ class Polynomial:
             t1, t2 = t2, t1
         if len(t1) == 1:
             (k1, c1), = t1.items()
+            if not k1 and c1 == 1 and (rest := other if t1 is self._terms else self)._den == den:
+                return rest  # the factor t1 is the constant 1
             out = {k1 + k2: c1 * c2 for k2, c2 in t2.items()}
             if den == 1:
                 return _make(ring, out)
@@ -331,6 +333,8 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise GwpaError("polynomial powers must be nonnegative integers")
+        if self._terms:
+            check_degree((max(self._terms) >> self.ring.top) * exponent)
         result = self.ring.one()
         base = self
         n = exponent

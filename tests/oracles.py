@@ -12,7 +12,9 @@ that closed form.  :func:`derivation_chain_rule` applies a derivation term
 by term from its generator images, as a check on the memoized
 :meth:`BaseDerivation.__call__`.  :class:`TuplePolynomial` is the plain
 arithmetic on exponent tuples and Fraction coefficients that the packed
-:class:`gwpa.poly.Polynomial` kernel must agree with.
+:class:`gwpa.poly.Polynomial` kernel must agree with.  :class:`FractionEchelon`
+and :func:`fraction_rref` are the eliminator on Fraction rows, normalized
+to pivot one, that the integer :class:`gwpa.linalg.Echelon` must agree with.
 """
 
 from __future__ import annotations
@@ -286,3 +288,69 @@ class TuplePolynomial:
             else:
                 pieces.append(("- " if c < 0 else "+ ") + body)
         return " ".join(pieces)
+
+
+# -- the eliminator on Fraction rows ------------------------------------------
+
+
+def _axpy(target: dict, factor, row: dict) -> None:
+    """``target -= factor * row`` in place, dropping entries that cancel."""
+    for idx, value in row.items():
+        acc = target.get(idx, 0) - factor * value
+        if acc:
+            target[idx] = _normal(acc)
+        else:
+            target.pop(idx, None)
+
+
+class FractionEchelon:
+    """Incrementally row-reduced span over sparse Fraction rows.
+
+    ``rows`` maps each pivot column to its row, whose smallest column is
+    that pivot, with entry one.  A new row clears its lead from the other
+    rows but is not reduced above later pivots.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict] = {}
+
+    def reduce(self, vec: dict) -> dict | None:
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            row = self.rows.get(lead)
+            if row is None:
+                return vec
+            _axpy(vec, vec[lead], row)
+        return None
+
+    def insert(self, vec: dict) -> dict | None:
+        reduced = self.reduce(vec)
+        if reduced is None:
+            return None
+        lead = min(reduced)
+        inv = 1 / Fraction(reduced[lead])
+        row = {idx: _normal(value * inv) for idx, value in reduced.items()}
+        for other in self.rows.values():
+            if lead in other:
+                _axpy(other, other[lead], row)
+        self.rows[lead] = row
+        return row
+
+
+def fraction_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form and pivots by :class:`FractionEchelon` and
+    back-substitution, last pivot first."""
+    if not matrix:
+        return [], []
+    echelon = FractionEchelon()
+    for row in matrix:
+        echelon.insert({col: _normal(v) for col, v in enumerate(row) if v})
+    pivots = sorted(echelon.rows)
+    for pcol in reversed(pivots):
+        prow = echelon.rows[pcol]
+        for lead, other in echelon.rows.items():
+            if lead < pcol and pcol in other:
+                _axpy(other, other[pcol], prow)
+    columns = range(len(matrix[0]))
+    return [[echelon.rows[p].get(col, 0) for col in columns] for p in pivots], pivots

@@ -7,6 +7,7 @@ import pathlib
 import shlex
 import types
 
+import gwpa.cli
 from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
 from gwpa.gallery import univariate_family
 from gwpa.specfile import render_algebra_spec, spec_from_gwpa
@@ -152,6 +153,29 @@ def test_outputs_are_byte_stable(capsys):
     assert first == second
 
 
+def test_repeated_main_calls_match_the_first(capsys, monkeypatch):
+    gwpa.cli._build_parser.cache_clear()  # the first call builds the parser
+    calls = [
+        ("closure", "gr_usl2", "--degree", "4", "C", "--format", "json"),
+        ("centre", "p2n_2", "--degree", "x"),
+        ("--help",),
+        ("mul", "p2", "X1", "Z9"),
+        ("centre", "--help"),
+        ("bracket", "p2", "Y1", "X1"),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 0, 1, 0, 0]
+    for order in (calls, calls[::-1], calls):
+        again = {argv: run(capsys, *argv) for argv in order}
+        assert [again[argv] for argv in calls] == first
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run(capsys, "--help")
+    assert narrow != first[2]
+    assert max(map(len, narrow[1].splitlines())) <= 40
+    gwpa.cli._build_parser.cache_clear()
+    assert run(capsys, "--help") == narrow
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
@@ -233,6 +257,11 @@ def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):
         1, "", error,
     )
     assert run(capsys, "mul", "p2", "--", half, half) == (1, "", error)
+    for exponent in (limit + 1, 99999999999999999999):
+        assert run(capsys, "mul", "p2", "--", "H1^%d" % exponent, "1") == (
+            1, "", "error: monomial total degree %d exceeds the limit of %d\n"
+            % (exponent, limit - 1),
+        )
 
 
 def test_invalid_spec_reports_violations(capsys, tmp_path):

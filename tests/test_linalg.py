@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwpa.linalg import Echelon, nullspace, rref
 
+from oracles import FractionEchelon, fraction_rref
 from sampling import random_rational
 
 
@@ -122,3 +124,43 @@ def test_echelon_span_does_not_depend_on_insertion_order(vectors, data):
     assert forward.insert(combination) is None
     for probe in data.draw(st.lists(_vector, max_size=4)):
         assert (probe in forward) == (probe in shuffled)
+
+
+# int, Fraction and integral-Fraction entries, which the integer rows must
+# all scale onto the same span as the Fraction reference.
+_entry = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(-3, 3, max_denominator=4),
+    st.integers(-9, 9).map(Fraction),
+)
+_sparse = st.dictionaries(st.integers(0, 7), _entry.filter(bool), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_sparse, max_size=8))
+def test_echelon_agrees_with_fraction_reference(vectors):
+    ours, reference = Echelon(), FractionEchelon()
+    for vec in vectors:
+        assert (ours.insert(vec) is None) == (reference.insert(vec) is None)
+        assert sorted(ours.rows) == sorted(reference.rows)
+        for lead, row in ours.rows.items():
+            assert min(row) == lead and row[lead] > 0
+            assert all(type(value) is int for value in row.values())
+            assert gcd(*row.values()) == 1
+            assert {i: Fraction(v, row[lead]) for i, v in row.items()} == reference.rows[lead]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(_entry, min_size=cols, max_size=cols), max_size=5)
+    )
+)
+def test_rref_agrees_with_fraction_reference(matrix):
+    reduced, pivots = rref(matrix)
+    expected, expected_pivots = fraction_rref(matrix)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    assert [list(map(type, row)) for row in reduced] == [
+        list(map(type, row)) for row in expected
+    ]

@@ -229,6 +229,8 @@ def test_exponent_limit_raises_instead_of_carrying(ring):
         ring.monomial((half, 0)) * ring.monomial((0, half))
     with pytest.raises(GwpaError, match="exceeds the limit"):
         H ** DEGREE_LIMIT
+    with pytest.raises(GwpaError, match="total degree 1099511627776 exceeds"):
+        H ** 2 ** 40
     raise_degree = BaseDerivation.from_images(ring, {"H": H ** 2})
     assert raise_degree(ring.monomial((0, top - 1))) == ring.monomial((0, top), top - 1)
     with pytest.raises(GwpaError, match="exceeds the limit"):
