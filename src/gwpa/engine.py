@@ -135,7 +135,10 @@ class GradedElement:
         return sorted(self._terms, key=lambda a: (sum(map(abs, a)), tuple(-x for x in a)))
 
     def coefficient(self, alpha: Sequence[int]) -> Polynomial:
-        return self._terms.get(tuple(alpha), self.algebra.base_ring.zero())
+        alpha = tuple(alpha)
+        if len(alpha) != self.algebra.rank:
+            raise GwpaError("degree tuple %r does not match rank %d" % (alpha, self.algebra.rank))
+        return self._terms.get(alpha, self.algebra.base_ring.zero())
 
     # -- arithmetic --------------------------------------------------------
 

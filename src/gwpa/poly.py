@@ -234,8 +234,14 @@ class Polynomial:
         return self.ring.unpack(key), _ratio(self._terms[key], self._den)
 
     def coefficient(self, exps: tuple[int, ...]) -> Coeff:
+        """The coefficient of a monomial; 0 for exponents no monomial has."""
+        exps = tuple(exps)
+        if len(exps) != self.ring.nvars:
+            raise GwpaError(
+                "exponent tuple %r does not match %d variables" % (exps, self.ring.nvars)
+            )
         try:
-            key = self.ring.pack(tuple(exps))
+            key = self.ring.pack(exps)
         except GwpaError:
             return 0
         return _ratio(self._terms.get(key, 0), self._den)
@@ -381,20 +387,12 @@ class Polynomial:
 
         All images must live in the same ring as this polynomial.
         """
-        table: dict[int, Polynomial] = {}
+        table = list(self.ring.gens())
         for name, image in images.items():
             i = self.ring.index(name)
             self._check_ring(image)
             table[i] = image
-        gens = self.ring.gens()
-        result = self.ring.zero()
-        for exps, coeff in self.items():
-            factor = self.ring.const(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    factor = factor * table.get(i, gens[i]) ** e
-            result = result + factor
-        return result
+        return self.map_monomials(lambda key: monomial_image(self.ring, table, key))
 
     def embed(
         self, target: PolyRing, rename: Mapping[str, str] | None = None
@@ -496,6 +494,16 @@ def _combination(ring: PolyRing, parts, den: int = 1) -> Polynomial:
             key += shift
             out[key] = get(key, 0) + c * r
     return _reduced(ring, out, den * scale)
+
+
+def monomial_image(ring: PolyRing, table: Sequence[Polynomial], key: int) -> Polynomial:
+    """The image of the packed monomial ``key`` under the ring map sending
+    the i-th variable to ``table[i]``: the product of table[i] ** e_i."""
+    image = ring.one()
+    for target, e in zip(table, ring.unpack(key)):
+        if e:
+            image = image * target ** e
+    return image
 
 
 def _from_values(ring: PolyRing, values: Mapping[int, Coeff]) -> Polynomial:

@@ -17,7 +17,6 @@ commutators against that predicted bracket on supplied element pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from .engine import (
     GradedAlgebra,
@@ -29,13 +28,17 @@ from .engine import (
 from .errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
 from .linalg import rref
 from .poisson import BaseDerivation, BasePoissonAlgebra
-from .poly import NEG_INF, Polynomial, PolyRing
+from .poly import NEG_INF, Polynomial, PolyRing, monomial_image
 
 
 class AffineSubstitution:
-    """A ring endomorphism sending each variable to an affine polynomial."""
+    """A ring endomorphism sending each variable to an affine polynomial.
 
-    __slots__ = ("ring", "images")
+    The image of each monomial is memoized per instance; the memo takes no
+    part in ``==`` or hashing.
+    """
+
+    __slots__ = ("ring", "images", "_monomial_images")
 
     def __init__(self, ring: PolyRing, images):
         images = tuple(images)
@@ -52,6 +55,7 @@ class AffineSubstitution:
                 )
         self.ring = ring
         self.images = images
+        self._monomial_images: dict = {}
 
     @classmethod
     def identity(cls, ring: PolyRing) -> "AffineSubstitution":
@@ -69,9 +73,17 @@ class AffineSubstitution:
         return cls(ring, full)
 
     def __call__(self, poly: Polynomial) -> Polynomial:
-        if poly.ring != self.ring:
-            raise AmbientMismatchError(self.ring.variables, poly.ring.variables)
-        return poly.substitute(dict(zip(self.ring.variables, self.images)))
+        ring, images, memo = self.ring, self.images, self._monomial_images
+        if poly.ring is not ring and poly.ring != ring:
+            raise AmbientMismatchError(ring.variables, poly.ring.variables)
+
+        def image_of(key: int) -> Polynomial:
+            image = memo.get(key)
+            if image is None:
+                image = memo[key] = monomial_image(ring, images, key)
+            return image
+
+        return poly.map_monomials(image_of)
 
     def compose(self, other: "AffineSubstitution") -> "AffineSubstitution":
         """The substitution applying ``other`` first, then this one."""
@@ -79,39 +91,43 @@ class AffineSubstitution:
             raise AmbientMismatchError(self.ring.variables, other.ring.variables)
         return AffineSubstitution(self.ring, tuple(self(img) for img in other.images))
 
+    def __pow__(self, k: int) -> "AffineSubstitution":
+        """The k-fold composite, by repeated squaring; a negative k composes
+        the inverse."""
+        if not isinstance(k, int):
+            raise GwpaError("substitution powers must be integers")
+        square = self if k >= 0 else self.inverse()
+        result = AffineSubstitution.identity(self.ring)
+        k = abs(k)
+        while k:
+            if k & 1:
+                result = result.compose(square)
+            k >>= 1
+            if k:
+                square = square.compose(square)
+        return result
+
     def inverse(self) -> "AffineSubstitution":
-        """The inverse substitution; requires an invertible linear part."""
+        """The inverse substitution; requires an invertible linear part.
+
+        For x -> M x + b it is x -> M^-1 (x - b): row j of the reduced
+        [M | I] holds row j of M^-1.
+        """
         ring = self.ring
         n = ring.nvars
-        zero_exps = tuple(0 for _ in range(n))
-        matrix = []
-        shifts = []
-        for image in self.images:
-            row = [Fraction(0)] * n
-            shift = Fraction(0)
-            for exps, coeff in image.items():
-                if exps == zero_exps:
-                    shift = Fraction(coeff)
-                else:
-                    row[exps.index(1)] = Fraction(coeff)
-            matrix.append(row)
-            shifts.append(shift)
         augmented = [
-            row + [Fraction(1 if k == j else 0) for k in range(n)]
-            for j, row in enumerate(matrix)
+            [image.partial(name).constant_value() for name in ring.variables]
+            + [int(k == j) for k in range(n)]
+            for j, image in enumerate(self.images)
         ]
         reduced, pivots = rref(augmented)
         if pivots != list(range(n)):
             raise GwpaError("substitution is not invertible")
-        inverse_rows = [row[n:] for row in reduced]
-        images = []
-        for j in range(n):
-            poly = ring.zero()
-            for k in range(n):
-                coeff = inverse_rows[j][k]
-                if coeff:
-                    poly = poly + ring.var(ring.variables[k]) * coeff - ring.const(coeff * shifts[k])
-            images.append(poly)
+        moved = [x - image.constant_value() for x, image in zip(ring.gens(), self.images)]
+        images = [
+            sum((x * c for x, c in zip(moved, row[n:]) if c), ring.zero())
+            for row in reduced
+        ]
         result = AffineSubstitution(ring, images)
         if self.compose(result) != AffineSubstitution.identity(ring):
             raise GwpaError("inverse substitution failed its check")
@@ -209,13 +225,12 @@ class GWAData(GradedAlgebra):
             raise GwpaError("weights must be positive")
         if not isinstance(nu, int) or nu < 1:
             raise GwpaError("the filtration drop must be a positive integer")
-        gens = ring.gens()
         for i, sigma in enumerate(sigmas):
             if sigma.ring != ring:
                 raise AmbientMismatchError(ring.variables, sigma.ring.variables)
             for j, other in enumerate(sigmas[:i]):
-                for g in gens:
-                    if sigma(other(g)) != other(sigma(g)):
+                for mine, theirs in zip(sigma.images, other.images):
+                    if sigma(theirs) != other(mine):
                         raise GwpaError(
                             "substitutions %d and %d do not commute"
                             % (j + 1, i + 1)
@@ -235,7 +250,7 @@ class GWAData(GradedAlgebra):
                     )
         for i, sigma in enumerate(sigmas):
             for j, name in enumerate(ring.variables):
-                drop = sigma(ring.var(name)) - ring.var(name)
+                drop = sigma.images[j] - ring.var(name)
                 if drop.weighted_degree(weights) > weights[j] - nu:
                     raise GwpaError(
                         "substitution %d moves %s by weighted degree %s, "
@@ -248,11 +263,7 @@ class GWAData(GradedAlgebra):
         self.weights = weights
         self.degrees = degrees
         self.nu = nu
-        self._powers: dict = {}
-        self._inverses: dict = {}
         self._alpha_maps: dict = {}
-        self._monomial_images: dict = {}
-        self._sigma_a: dict = {}
         self._factors: dict = {}
 
     @property
@@ -280,50 +291,27 @@ class GWAData(GradedAlgebra):
 
     # -- cached substitution machinery --------------------------------------
 
-    def sigma_power(self, i: int, k: int) -> AffineSubstitution:
-        key = (i, k)
-        if key not in self._powers:
-            if k == 0:
-                value = AffineSubstitution.identity(self.ring)
-            elif k > 0:
-                value = self.sigma_power(i, k - 1).compose(self.sigmas[i])
-            else:
-                if i not in self._inverses:
-                    self._inverses[i] = self.sigmas[i].inverse()
-                value = self.sigma_power(i, k + 1).compose(self._inverses[i])
-            self._powers[key] = value
-        return self._powers[key]
-
     def sigma_alpha(self, alpha) -> AffineSubstitution:
-        if alpha not in self._alpha_maps:
+        """The composite of the sigma_i ** alpha_i, cached per alpha."""
+        value = self._alpha_maps.get(alpha)
+        if value is None:
             value = AffineSubstitution.identity(self.ring)
-            for i, k in enumerate(alpha):
+            for sigma, k in zip(self.sigmas, alpha):
                 if k:
-                    value = value.compose(self.sigma_power(i, k))
+                    value = value.compose(sigma ** k)
             self._alpha_maps[alpha] = value
-        return self._alpha_maps[alpha]
+        return value
 
     def apply_sigma_alpha(self, alpha, poly: Polynomial) -> Polynomial:
         """Twist of a coefficient moved left past v_alpha: sigma_alpha(poly)."""
-        if all(k == 0 for k in alpha) or poly.is_zero or poly.is_constant:
+        if poly.is_constant or not any(alpha):
             return poly
-        memo = self._monomial_images
-
-        def image_of(key):
-            image = memo.get((alpha, key))
-            if image is None:
-                images = self.sigma_alpha(alpha).images
-                factors = (s ** e for s, e in zip(images, self.ring.unpack(key)) if e)
-                image = memo[(alpha, key)] = prod(factors, start=self.ring.one())
-            return image
-
-        return poly.map_monomials(image_of)
+        return self.sigma_alpha(alpha)(poly)
 
     def shifted_parameter(self, i: int, k: int) -> Polynomial:
-        key = (i, k)
-        if key not in self._sigma_a:
-            self._sigma_a[key] = self.sigma_power(i, k)(self.a[i])
-        return self._sigma_a[key]
+        """sigma_i ** k applied to the parameter a_i."""
+        alpha = tuple(k if j == i else 0 for j in range(self.rank))
+        return self.sigma_alpha(alpha)(self.a[i])
 
     def contraction_factor(self, i: int, p: int, q: int) -> Polynomial:
         """The coefficient produced in coordinate i when v_p meets v_q."""
@@ -375,7 +363,7 @@ def predicted_gwpa(A: GWAData) -> GWPAData:
     for i in range(A.rank):
         images = {}
         for j, name in enumerate(ring.variables):
-            drop = A.sigmas[i](ring.var(name)) - ring.var(name)
+            drop = A.sigmas[i].images[j] - ring.var(name)
             piece = drop.weighted_component(A.weights, A.weights[j] - A.nu)
             if not piece.is_zero:
                 images[name] = -piece

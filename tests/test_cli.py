@@ -264,6 +264,15 @@ def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):
         )
 
 
+def test_high_generator_powers_twist_without_recursion(capsys):
+    # In weyl_1, X d = sigma(d) X with sigma(H1) = H1 - 1, so Y1 H1 = (H1 + 1) Y1
+    # and Y1 X1 = H1; hence Y1^1500 H1 X1 = (H1 + 1500) Y1^1499 (Y1 X1)
+    # = (H1 + 1500)(H1 + 1499) Y1^1499.
+    assert run(capsys, "mul", "weyl_1", "--", "Y1^1500", "H1*X1") == (
+        0, "(H1^2 + 2999*H1 + 2248500)*Y1^1499\n", "",
+    )
+
+
 def test_invalid_spec_reports_violations(capsys, tmp_path):
     doc = {
         "kind": "gwpa",

@@ -369,6 +369,17 @@ def test_element_accessors_and_errors():
     assert u - u == A.zero()
 
 
+@pytest.mark.parametrize("make", [lambda: p2n(2), lambda: weyl_gwa(2)], ids=["p2n_2", "weyl_2"])
+def test_coefficient_rejects_a_degree_tuple_of_the_wrong_length(make):
+    A = make()
+    u = A.X(1) + A.scalar(A.base_ring.var("H1")) * A.Y(2)
+    assert u.coefficient((0, -1)) == A.base_ring.var("H1")
+    assert u.coefficient((-7, 0)).is_zero
+    for alpha in ((5,), (1, 0, 0), ()):
+        with pytest.raises(GwpaError, match="does not match rank 2"):
+            u.coefficient(alpha)
+
+
 @pytest.mark.parametrize("make", [lambda: p2n(2), lambda: weyl_gwa(1)], ids=["p2n_2", "weyl_1"])
 def test_powers_by_squaring_match_repeated_products(make):
     A = make()

@@ -41,6 +41,16 @@ def test_coefficients_normalize_and_zero_terms_drop(ring):
     assert isinstance(third.coefficient((0, 0)), Fraction)
 
 
+def test_coefficient_rejects_a_tuple_of_the_wrong_length(ring):
+    poly = ring.var("H") ** 2 + 3 * ring.var("C")
+    assert poly.coefficient((0, 2)) == 1
+    assert poly.coefficient((0, -1)) == 0
+    assert poly.coefficient((0, DEGREE_LIMIT)) == 0
+    for exps in ((2,), (0, 2, 0), ()):
+        with pytest.raises(GwpaError, match="does not match 2 variables"):
+            poly.coefficient(exps)
+
+
 def test_ring_rejects_bad_variable_names():
     with pytest.raises(GwpaError):
         PolyRing(["H", "H"])

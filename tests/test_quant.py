@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwpa.errors import AlgebraMismatchError, GwpaError
 from gwpa.gallery import gr_usl2, p2n
-from gwpa.poly import PolyRing
+from gwpa.poly import Polynomial, PolyRing
 from gwpa.quant import (
     AffineSubstitution,
     GWAData,
@@ -19,6 +21,7 @@ from gwpa.quant import (
     weyl_gwa,
 )
 
+from oracles import TuplePolynomial
 from sampling import random_element
 
 
@@ -54,6 +57,65 @@ def test_substitution_inverse():
         squash.inverse()
     with pytest.raises(GwpaError):
         AffineSubstitution.from_map(ring, {"H": H ** 2})
+
+
+_coeff = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _substitution_and_polynomial(draw):
+    """A ring with one to three variables, term maps of affine images of
+    every variable (any linear part) and a polynomial's term map."""
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(["C", "H", "Z"][:n])
+    affine = st.sampled_from([(0,) * n] + [tuple(int(j == i) for j in range(n)) for i in range(n)])
+    images = [draw(st.dictionaries(affine, _coeff, max_size=n + 1)) for _ in range(n)]
+    poly = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), _coeff, max_size=5))
+    return ring, images, poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(_substitution_and_polynomial())
+def test_substitution_matches_tuple_reference(case):
+    ring, images, terms = case
+    sigma = AffineSubstitution(ring, [Polynomial(ring, m) for m in images])
+    expected = TuplePolynomial(ring.variables, terms).substitute(
+        {i: TuplePolynomial(ring.variables, m) for i, m in enumerate(images)}
+    )
+    for _ in range(2):  # the second pass reads memoized monomial images
+        image = sigma(Polynomial(ring, terms))
+        assert image.terms() == expected.terms
+        assert str(image) == str(expected)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_substitution_powers_match_repeated_composition(k):
+    plane = PolyRing(["H1", "H2"])
+    H1, H2 = plane.gens()
+    for sigma in (
+        AffineSubstitution.from_map(plane, {"H1": H1 - 1}),
+        AffineSubstitution.from_map(plane, {"H1": H1 + H2, "H2": 2 * H2 - 1}),
+    ):
+        step = sigma if k >= 0 else sigma.inverse()
+        expected = AffineSubstitution.identity(plane)
+        for _ in range(abs(k)):
+            expected = expected.compose(step)
+        assert sigma ** k == expected
+
+
+def test_sigma_alpha_inverts_under_negation():
+    A = weyl_gwa(2)
+    identity = AffineSubstitution.identity(A.ring)
+    for alpha in itertools.product(range(-3, 4), repeat=2):
+        neg_alpha = tuple(-k for k in alpha)
+        assert A.sigma_alpha(alpha).compose(A.sigma_alpha(neg_alpha)) == identity
+
+
+def test_high_sigma_powers_do_not_recurse():
+    A = weyl_gwa(1)
+    H = A.ring.var("H1")
+    assert A.sigma_alpha((-5000,))(H) == H + 5000
+    assert A.shifted_parameter(0, 4000) == H - 4000
 
 
 def test_algebra_data_validation():
