@@ -172,6 +172,10 @@ class GradedElement:
         """Nonnegative integer powers, by repeated squaring."""
         if not isinstance(exponent, int) or exponent < 0:
             raise GwpaError("element powers must be nonnegative integers")
+        zero_alpha = self.algebra.zero_alpha
+        if len(self._terms) == 1 and zero_alpha in self._terms:
+            # a base scalar: the polynomial power checks its degree first
+            return self.algebra.scalar(self._terms[zero_alpha] ** exponent)
         result = self.algebra.one()
         square = self
         while exponent:

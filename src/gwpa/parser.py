@@ -4,15 +4,17 @@ Grammar (whitespace insignificant between tokens):
 
     expr     := ['+'|'-'] term (('+'|'-') term)*
     term     := rational ('*'? factor)* | factor ('*'? factor)*
-    factor   := var ('^' nat)?
+    factor   := var ('^' nat)? | '(' expr ')'
     rational := int ('/' nat)?
     var      := [A-Za-z][A-Za-z0-9_]*
 
-A term carries at most one leading rational coefficient.  The same grammar
-parses plain polynomials (variables drawn from a ring) and algebra elements
-(variables extended with generator names such as ``X1`` and ``Y1``); element
-factors are multiplied in written order, which matters for noncommutative
-products.
+A term carries at most one leading rational coefficient.  Parentheses
+group a sum, as in the rendered element ``(H1 + 1)*X1^2``; a group holds no
+further group and takes no exponent, since a short power of a sum can
+expand to an enormous element.  The same grammar parses plain polynomials
+(variables drawn from a ring) and algebra elements (variables extended with
+generator names such as ``X1`` and ``Y1``); element factors are multiplied
+in written order, which matters for noncommutative products.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from fractions import Fraction
 from .errors import ParseError
 from .poly import Polynomial, check_degree
 
-_SYMBOLS = {"+", "-", "*", "^", "/"}
+_SYMBOLS = {"+", "-", "*", "^", "/", "(", ")"}
+
+#: Name of a parenthesized factor ``(_GROUP, terms, position)`` in a term.
+_GROUP = "("
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -92,22 +97,32 @@ class _Parser:
             return Fraction(numerator, int(denom))
         return Fraction(numerator)
 
-    def parse_term(self):
-        """One signless term: (coefficient, [(name, power, position), ...])."""
+    def parse_term(self, nested: bool):
+        """One signless term: (coefficient, [(name, power, position), ...]);
+        a parenthesized factor is (_GROUP, its term list, position)."""
         coeff = Fraction(1)
-        factors: list[tuple[str, int, int]] = []
-        kind, _, _ = self.peek()
+        factors: list[tuple] = []
+        kind, value, _ = self.peek()
         if kind == "int":
             coeff = self.parse_rational()
-        elif kind != "name":
+        elif kind != "name" and (kind, value) != ("sym", "("):
             self.fail("expected a number or a variable")
         while True:
             kind, value, where = self.peek()
             if kind == "sym" and value == "*":
                 self.advance()
                 kind, value, where = self.peek()
-                if kind != "name":
+                if kind != "name" and (kind, value) != ("sym", "("):
                     self.fail("expected a variable after '*'")
+            if (kind, value) == ("sym", "("):
+                if nested:
+                    self.fail("parentheses do not nest")
+                self.advance()
+                factors.append((_GROUP, self.parse_expr(nested=True), where))
+                self.advance()  # the closing parenthesis
+                if self.peek()[:2] == ("sym", "^"):
+                    self.fail("a parenthesized sum takes no exponent")
+                continue
             if kind != "name":
                 break
             self.advance()
@@ -122,8 +137,10 @@ class _Parser:
             factors.append((value, power, where))
         return coeff, factors
 
-    def parse_expr(self):
-        """Signed term list: [(coefficient, factors), ...]."""
+    def parse_expr(self, nested: bool = False):
+        """Signed term list: [(coefficient, factors), ...].  A nested
+        expression stops before its closing parenthesis."""
+        closer = ("sym", ")") if nested else ("end", "")
         terms = []
         sign = 1
         kind, value, _ = self.peek()
@@ -131,16 +148,16 @@ class _Parser:
             self.advance()
             sign = -1 if value == "-" else 1
         while True:
-            coeff, factors = self.parse_term()
+            coeff, factors = self.parse_term(nested)
             terms.append((sign * coeff, factors))
             kind, value, _ = self.peek()
-            if kind == "end":
+            if (kind, value) == closer:
                 return terms
             if kind == "sym" and value in ("+", "-"):
                 self.advance()
                 sign = -1 if value == "-" else 1
                 continue
-            self.fail("expected '+', '-' or end of input")
+            self.fail("expected '+', '-' or %s" % ("')'" if nested else "end of input"))
 
 
 def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
@@ -150,10 +167,18 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
 def parse_polynomial(text: str, ring) -> "Polynomial":
     """Parse text as a polynomial over the given ring."""
+    return _polynomial(parse_terms(text), ring, text)
+
+
+def _polynomial(terms, ring, text: str) -> "Polynomial":
     total = ring.zero()
-    for coeff, factors in parse_terms(text):
+    for coeff, factors in terms:
         exps = [0] * ring.nvars
+        groups = []
         for name, power, where in factors:
+            if name == _GROUP:
+                groups.append(_polynomial(power, ring, text))
+                continue
             if name not in ring.variables:
                 raise ParseError(
                     "unknown variable %r (ring has %s)"
@@ -162,7 +187,10 @@ def parse_polynomial(text: str, ring) -> "Polynomial":
                     where,
                 )
             exps[ring.index(name)] += power
-        total = total + Polynomial(ring, {tuple(exps): coeff})
+        term = Polynomial(ring, {tuple(exps): coeff})
+        for group in groups:
+            term = term * group
+        total = total + term
     return total
 
 
@@ -179,19 +207,26 @@ def parse_element(text: str, algebra) -> "GWPAElement":
     for i in range(1, algebra.rank + 1):
         atoms["X%d" % i] = algebra.X(i)
         atoms["Y%d" % i] = algebra.Y(i)
-    total = algebra.zero()
-    for coeff, factors in parse_terms(text):
-        piece = algebra.scalar(ring.const(coeff))
-        for name, power, where in factors:
-            if name not in atoms:
-                raise ParseError(
-                    "unknown name %r (expected a base variable or X1..X%d, Y1..Y%d)"
-                    % (name, algebra.rank, algebra.rank),
-                    text,
-                    where,
-                )
-            if name in ring.variables:
-                check_degree(power)
-            piece = piece * atoms[name] ** power
-        total = total + piece
-    return total
+
+    def evaluate(terms):
+        total = algebra.zero()
+        for coeff, factors in terms:
+            piece = algebra.scalar(ring.const(coeff))
+            for name, power, where in factors:
+                if name == _GROUP:
+                    piece = piece * evaluate(power)
+                    continue
+                if name not in atoms:
+                    raise ParseError(
+                        "unknown name %r (expected a base variable or X1..X%d, Y1..Y%d)"
+                        % (name, algebra.rank, algebra.rank),
+                        text,
+                        where,
+                    )
+                if name in ring.variables:
+                    check_degree(power)
+                piece = piece * atoms[name] ** power
+            total = total + piece
+        return total
+
+    return evaluate(parse_terms(text))

@@ -215,6 +215,8 @@ class Polynomial:
         """The weighted-homogeneous slice of the given degree."""
         weigh = self._weigher(weights)
         picked = {k: c for k, c in self._terms.items() if weigh(k) == degree}
+        if len(picked) == len(self._terms):
+            return self
         return _reduced(self.ring, picked, self._den)
 
     def variables_used(self) -> tuple[str, ...]:

@@ -23,6 +23,7 @@ from .engine import (
     GradedElement,
     GWPAData,
     GWPAElement,
+    _accumulate,
     _graded_mul,
 )
 from .errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
@@ -164,7 +165,10 @@ class GWAElement(GradedElement):
         operand = self._operand(other)
         if operand is NotImplemented:
             raise GwpaError("cannot take a commutator with %r" % (other,))
-        return self * operand - operand * self
+        out = (self * operand)._terms  # a fresh map, owned here
+        for alpha, poly in (operand * self)._terms.items():
+            _accumulate(out, alpha, -poly)
+        return self._new(out)
 
     @property
     def degree(self):
@@ -265,6 +269,7 @@ class GWAData(GradedAlgebra):
         self.nu = nu
         self._alpha_maps: dict = {}
         self._factors: dict = {}
+        self._predicted: GWPAData | None = None
 
     @property
     def rank(self) -> int:
@@ -292,14 +297,36 @@ class GWAData(GradedAlgebra):
     # -- cached substitution machinery --------------------------------------
 
     def sigma_alpha(self, alpha) -> AffineSubstitution:
-        """The composite of the sigma_i ** alpha_i, cached per alpha."""
-        value = self._alpha_maps.get(alpha)
+        """The composite of the sigma_i ** alpha_i, cached per alpha.
+
+        A new alpha takes one step from a cached neighbour alpha - s e_i
+        (s = +-1): the unit map sigma_i ** s composed with it.  Without one,
+        each unit map is raised to |alpha_i| by repeated squaring.  The unit
+        maps sigma_i and sigma_i^-1 are cached under +e_i and -e_i, so each
+        inverse is taken once.
+        """
+        maps = self._alpha_maps
+        value = maps.get(alpha)
         if value is None:
-            value = AffineSubstitution.identity(self.ring)
-            for sigma, k in zip(self.sigmas, alpha):
-                if k:
-                    value = value.compose(sigma ** k)
-            self._alpha_maps[alpha] = value
+            value = maps[alpha] = self._build_sigma_alpha(alpha)
+        return value
+
+    def _build_sigma_alpha(self, alpha) -> AffineSubstitution:
+        maps = self._alpha_maps
+        for i, k in enumerate(alpha):
+            if k:
+                s = 1 if k > 0 else -1
+                rest = alpha[:i] + (k - s,) + alpha[i + 1:]
+                if not any(rest):
+                    return self.sigmas[i] if s > 0 else self.sigmas[i].inverse()
+                neighbour = maps.get(rest)
+                if neighbour is not None:
+                    return self.sigma_alpha(self._unit(i + 1, s)).compose(neighbour)
+        value = AffineSubstitution.identity(self.ring)
+        for i, k in enumerate(alpha):
+            if k:
+                unit = self.sigma_alpha(self._unit(i + 1, 1 if k > 0 else -1))
+                value = value.compose(unit ** abs(k))
         return value
 
     def apply_sigma_alpha(self, alpha, poly: Polynomial) -> Polynomial:
@@ -310,27 +337,34 @@ class GWAData(GradedAlgebra):
 
     def shifted_parameter(self, i: int, k: int) -> Polynomial:
         """sigma_i ** k applied to the parameter a_i."""
+        if not k:
+            return self.a[i]
         alpha = tuple(k if j == i else 0 for j in range(self.rank))
         return self.sigma_alpha(alpha)(self.a[i])
 
     def contraction_factor(self, i: int, p: int, q: int) -> Polynomial:
-        """The coefficient produced in coordinate i when v_p meets v_q."""
+        """The coefficient produced in coordinate i when v_p meets v_q.
+
+        With m = min(|p|, |q|) it is the product of the shifted parameters
+        sigma_i ** k (a_i) over k = p - m + 1 .. p when p > 0, and over
+        k = p + m down to p + 1 when p < 0; each factor is one step of
+        sigma_i (or its inverse) from the previous one.
+        """
         if p == 0 or q == 0 or (p > 0) == (q > 0):
             return self.ring.one()
         key = (i, p, q)
-        if key not in self._factors:
-            value = self.ring.one()
-            if p > 0:
-                m = min(p, -q)
-                for k in range(p - m + 1, p + 1):
-                    value = value * self.shifted_parameter(i, k)
-            else:
-                s = -p
-                m = min(s, q)
-                for k in range(s - m, s):
-                    value = value * self.shifted_parameter(i, -k)
+        value = self._factors.get(key)
+        if value is None:
+            m = min(abs(p), abs(q))
+            s = 1 if p > 0 else -1
+            first = p - m + 1 if p > 0 else p + m
+            step = self.sigma_alpha(self._unit(i + 1, s))
+            factor = value = self.shifted_parameter(i, first)
+            for _ in range(m - 1):
+                factor = step(factor)
+                value = value * factor
             self._factors[key] = value
-        return self._factors[key]
+        return value
 
     def generators(self):
         gens = [self.scalar(self.ring.var(name)) for name in self.ring.variables]
@@ -352,8 +386,15 @@ def predicted_gwpa(A: GWAData) -> GWPAData:
 
     Parameters keep their top weighted component and each derivation image
     is minus the leading part of the discrepancy between a substitution and
-    the identity.
+    the identity.  It is built and validated once per algebra; later calls
+    return the same object, with its caches.
     """
+    if A._predicted is None:
+        A._predicted = _build_predicted(A)
+    return A._predicted
+
+
+def _build_predicted(A: GWAData) -> GWPAData:
     ring = A.ring
     base = BasePoissonAlgebra.trivial(ring)
     abar = tuple(
@@ -372,7 +413,12 @@ def predicted_gwpa(A: GWAData) -> GWPAData:
 
 
 def _graded_image(target: GWPAData, element: GWAElement, degree) -> GWPAElement:
-    return target.element(element.homogeneous_part(degree).terms())
+    """The slice of ``element`` at ``degree``, read in the predicted algebra,
+    whose base ring is the quantization's."""
+    image = object.__new__(GWPAElement)
+    image.algebra = target
+    image._terms = element.homogeneous_part(degree)._terms
+    return image
 
 
 class GrPairReport:
@@ -415,23 +461,32 @@ def gr_correspondence_check(A: GWAData, pairs) -> GrReport:
     of the leading parts inside the predicted Poisson algebra.
     """
     target = predicted_gwpa(A)
+    leading: dict = {}  # id(u) -> (u, degree, image of the leading part)
+
+    def leading_data(u):
+        entry = leading.get(id(u))
+        if entry is None:
+            degree = u.degree
+            entry = leading[id(u)] = (u, degree, _graded_image(target, u, degree))
+        return entry[1], entry[2]
+
     results = []
     for u, v in pairs:
         if not isinstance(u, GWAElement) or not isinstance(v, GWAElement):
             raise GwpaError("correspondence pairs must be algebra elements")
-        if u.algebra != A or v.algebra != A:
+        if (u.algebra is not A and u.algebra != A) or (
+            v.algebra is not A and v.algebra != A
+        ):
             raise AlgebraMismatchError("pair does not live in the given algebra")
         if u.is_zero or v.is_zero:
             raise GwpaError("correspondence pairs must be nonzero")
-        s = u.degree
-        t = v.degree
+        s, left_bar = leading_data(u)
+        t, right_bar = leading_data(v)
         commutator = u.commutator(v)
         commutator_degree = commutator.degree
         expected = s + t - A.nu
         drops = commutator_degree <= expected
         graded = _graded_image(target, commutator, expected)
-        left_bar = _graded_image(target, u, s)
-        right_bar = _graded_image(target, v, t)
         predicted_bracket = left_bar.bracket(right_bar)
         results.append(
             GrPairReport(

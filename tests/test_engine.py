@@ -391,6 +391,18 @@ def test_powers_by_squaring_match_repeated_products(make):
     assert parse_element("X1^5", A) == A.X(1) ** 5
 
 
+@pytest.mark.parametrize("make", [lambda: p2n(1), lambda: weyl_gwa(1)], ids=["p2n_1", "weyl_1"])
+def test_scalar_powers_name_the_requested_degree(make):
+    A = make()
+    H = A.base_ring.var("H1")
+    h = A.scalar(H)
+    assert h ** 5 == A.scalar(H ** 5)
+    assert h ** 0 == A.one()
+    assert A.scalar(H + 2) ** 3 == A.scalar(H + 2) * A.scalar(H + 2) * A.scalar(H + 2)
+    with pytest.raises(GwpaError, match="degree 4294967297 exceeds"):
+        h ** 4294967297
+
+
 def test_elements_hash_consistently_with_equality():
     for A in (p2n(2), weyl_gwa(1)):
         u = A.X(1) + A.scalar(3)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwpa.errors import ParseError
 from gwpa.gallery import gr_usl2, p2n
 from gwpa.parser import parse_element, parse_polynomial
-from gwpa.poly import PolyRing, render_polynomial
+from gwpa.poly import Polynomial, PolyRing, render_polynomial
+from gwpa.quant import weyl_gwa
 
 
 @pytest.fixture
@@ -88,3 +90,47 @@ def test_parse_element_unknown_generator():
         parse_element("X2", A)
     with pytest.raises(ParseError):
         parse_element("X1^-1", A)
+
+
+def test_parenthesized_sums():
+    ring = PolyRing(["C", "H"])
+    C, H = ring.gens()
+    assert parse_polynomial("2(C + H)*H - (H - 1)(H + 1)", ring) == 2 * C * H + H ** 2 + 1
+    A = weyl_gwa(1)
+    H1 = A.ring.var("H1")
+    assert parse_element("(H1 + 1)*X1^2", A) == A.scalar(H1 + 1) * A.X(1) ** 2
+    assert parse_element("X1*(H1 + 1)", A) == A.scalar(H1) * A.X(1)
+    for text, position in (("((H))", 1), ("(H + 1)^2", 7), ("(H", 2), ("H)", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ring)
+        assert err.value.position == position
+
+
+_coeff = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+
+
+def _polynomials(ring):
+    monomial = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    return st.dictionaries(monomial, _coeff, max_size=4).map(lambda t: Polynomial(ring, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([["C", "H"], ["H1"], ["x", "y", "z"]]).flatmap(
+    lambda names: _polynomials(PolyRing(names))))
+def test_polynomial_render_round_trip(poly):
+    text = render_polynomial(poly)
+    parsed = parse_polynomial(text, poly.ring)
+    assert parsed == poly
+    assert render_polynomial(parsed) == text
+
+
+_ALGEBRAS = {"p2n_2": p2n(2), "gr_usl2": gr_usl2(), "weyl_1": weyl_gwa(1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_ALGEBRAS)), st.data())
+def test_element_render_round_trip(name, data):
+    A = _ALGEBRAS[name]
+    alpha = st.tuples(*[st.integers(-3, 3)] * A.rank)
+    u = A.element(data.draw(st.dictionaries(alpha, _polynomials(A.base_ring), max_size=4)))
+    assert parse_element(str(u), A) == u

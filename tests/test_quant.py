@@ -22,7 +22,7 @@ from gwpa.quant import (
 )
 
 from oracles import TuplePolynomial
-from sampling import random_element
+from sampling import nonzero_element, random_element
 
 
 def test_substitution_call_and_compose():
@@ -116,6 +116,54 @@ def test_high_sigma_powers_do_not_recurse():
     H = A.ring.var("H1")
     assert A.sigma_alpha((-5000,))(H) == H + 5000
     assert A.shifted_parameter(0, 4000) == H - 4000
+    # the two requested maps and the unit maps they were squared from
+    assert len(A._alpha_maps) <= 4
+
+
+def _sheared_gwa() -> GWAData:
+    """A rank two algebra whose first substitution has a non-diagonal
+    linear part: (H1, Z) -> (H1 + Z, Z - 1), inverse (H1 - Z - 1, Z + 1)."""
+    ring = PolyRing(["H1", "H2", "Z"])
+    H1, H2, Z = ring.gens()
+    shear = AffineSubstitution.from_map(ring, {"H1": H1 + Z, "Z": Z - 1})
+    shift = AffineSubstitution.from_map(ring, {"H2": H2 - 1})
+    return GWAData(ring, (shear, shift), (H1, H2), (2, 2, 1), (2, 2), nu=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([lambda: weyl_gwa(2), _sheared_gwa]),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=15),
+)
+def test_sigma_alpha_in_any_request_order_matches_unit_powers(build, alphas):
+    """Each alpha, reached by a cached neighbour or by squaring, equals the
+    composite of the unit powers taken on a fresh algebra."""
+    A = build()
+    for alpha in alphas:
+        fresh = build()
+        expected = AffineSubstitution.identity(fresh.ring)
+        for sigma, k in zip(fresh.sigmas, alpha):
+            expected = expected.compose(sigma ** k)
+        assert A.sigma_alpha(alpha) == expected
+
+
+@pytest.mark.parametrize("build", [lambda: weyl_gwa(2), usl2_gwa], ids=["weyl_2", "usl2"])
+def test_contraction_factor_matches_its_defining_product(build):
+    A = build()
+    reference = build()
+    for i in range(A.rank):
+        sigma = reference.sigmas[i]
+        for p, q in itertools.product(range(-6, 7), repeat=2):
+            expected = A.ring.one()
+            if p and q and (p > 0) != (q > 0):
+                m = min(abs(p), abs(q))
+                if p > 0:
+                    shifts = range(p - m + 1, p + 1)
+                else:
+                    shifts = (-k for k in range(-p - m, -p))
+                for k in shifts:
+                    expected = expected * (sigma ** k)(reference.a[i])
+            assert A.contraction_factor(i, p, q) == expected, (i, p, q)
 
 
 def test_algebra_data_validation():
@@ -278,6 +326,53 @@ def test_correspondence_on_weyl():
     assert spot.commutator == A.one()
     assert spot.expected_degree == 0
     assert str(spot.predicted_bracket) == "1"
+
+
+def _rendered(report) -> str:
+    lines = [
+        " ; ".join(
+            str(x)
+            for x in (
+                p.left, p.right, p.left_degree, p.right_degree, p.commutator,
+                p.commutator_degree, p.expected_degree, p.degree_drops,
+                p.graded_bracket, p.predicted_bracket, p.matches,
+            )
+        )
+        for p in report.pairs
+    ]
+    return "all_match=%s\n%s" % (report.all_match, "\n".join(lines))
+
+
+@pytest.mark.parametrize("build", [lambda: weyl_gwa(2), usl2_gwa], ids=["weyl_2", "usl2"])
+def test_correspondence_report_does_not_depend_on_element_identity(build):
+    """Leading data is memoized per element object within one call; fresh
+    objects, one object in many pairs and distinct copies must all give the
+    report of checking each pair on its own."""
+    A = build()
+    rng = random.Random(211)
+    elements = [nonzero_element(A, rng, bound=3) for _ in range(6)]
+    plan = [(rng.randrange(6), rng.randrange(6)) for _ in range(30)]
+
+    def copy(u):
+        return A.element(u.terms())
+
+    fresh = ((copy(elements[i]), copy(elements[j])) for i, j in plan)
+    shared = [(elements[i], elements[j]) for i, j in plan]
+    distinct = [(copy(elements[i]), copy(elements[j])) for i, j in plan]
+    texts = [_rendered(gr_correspondence_check(A, pairs)) for pairs in (fresh, shared, distinct)]
+    assert texts[0] == texts[1] == texts[2]
+    alone = [_rendered(gr_correspondence_check(build(), [pair])) for pair in shared]
+    assert texts[0].split("\n")[1:] == [text.split("\n")[1] for text in alone]
+    assert texts[0].startswith("all_match=True")
+
+
+def test_predicted_algebra_is_built_once_per_algebra():
+    A = weyl_gwa(2)
+    predicted = predicted_gwpa(A)
+    assert predicted_gwpa(A) is predicted
+    assert predicted == p2n(2)
+    assert gr_correspondence_check(A, [(A.X(1), A.Y(1))]).predicted is predicted
+    assert predicted_gwpa(weyl_gwa(2)) is not predicted
 
 
 def test_correspondence_input_errors():
