@@ -253,7 +253,11 @@ def _cmd_closure(args) -> tuple[dict, str]:
 def _cmd_quantize_check(args) -> tuple[dict, str]:
     _, built = _resolve(args.source)
     if not isinstance(built, GWAData):
-        raise GwpaError("quantize-check needs a gwa spec or gallery name")
+        quantized = [e.name for e in GALLERY if e.build.__module__ == GWAData.__module__]
+        raise GwpaError(
+            "%r is a Poisson algebra, not a quantization; quantize-check needs a gwa "
+            "spec or a quantized gallery name (%s)" % (args.source, ", ".join(quantized))
+        )
     generators = built.generators()
     pairs = [
         (generators[i], generators[j])

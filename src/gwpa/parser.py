@@ -22,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Polynomial, check_degree
 
 _SYMBOLS = {"+", "-", "*", "^", "/", "(", ")"}
 
@@ -167,31 +166,11 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
 def parse_polynomial(text: str, ring) -> "Polynomial":
     """Parse text as a polynomial over the given ring."""
-    return _polynomial(parse_terms(text), ring, text)
-
-
-def _polynomial(terms, ring, text: str) -> "Polynomial":
-    total = ring.zero()
-    for coeff, factors in terms:
-        exps = [0] * ring.nvars
-        groups = []
-        for name, power, where in factors:
-            if name == _GROUP:
-                groups.append(_polynomial(power, ring, text))
-                continue
-            if name not in ring.variables:
-                raise ParseError(
-                    "unknown variable %r (ring has %s)"
-                    % (name, ", ".join(ring.variables) or "no variables"),
-                    text,
-                    where,
-                )
-            exps[ring.index(name)] += power
-        term = Polynomial(ring, {tuple(exps): coeff})
-        for group in groups:
-            term = term * group
-        total = total + term
-    return total
+    atoms = {name: ring.var(name) for name in ring.variables}
+    unknown = "unknown variable %%r (ring has %s)" % (
+        ", ".join(ring.variables) or "no variables"
+    )
+    return _evaluate(parse_terms(text), atoms, ring.zero(), ring.const, text, unknown)
 
 
 def parse_element(text: str, algebra) -> "GWPAElement":
@@ -201,32 +180,30 @@ def parse_element(text: str, algebra) -> "GWPAElement":
     ``i`` between 1 and the rank.  Factors multiply in written order.
     """
     ring = algebra.base_ring
-    atoms = {}
-    for name in ring.variables:
-        atoms[name] = algebra.scalar(ring.var(name))
+    atoms = {name: algebra.scalar(ring.var(name)) for name in ring.variables}
     for i in range(1, algebra.rank + 1):
         atoms["X%d" % i] = algebra.X(i)
         atoms["Y%d" % i] = algebra.Y(i)
+    unknown = "unknown name %%r (expected a base variable or X1..X%d, Y1..Y%d)"
+    unknown %= (algebra.rank, algebra.rank)
+    return _evaluate(parse_terms(text), atoms, algebra.zero(), algebra.scalar, text, unknown)
 
-    def evaluate(terms):
-        total = algebra.zero()
-        for coeff, factors in terms:
-            piece = algebra.scalar(ring.const(coeff))
-            for name, power, where in factors:
-                if name == _GROUP:
-                    piece = piece * evaluate(power)
-                    continue
-                if name not in atoms:
-                    raise ParseError(
-                        "unknown name %r (expected a base variable or X1..X%d, Y1..Y%d)"
-                        % (name, algebra.rank, algebra.rank),
-                        text,
-                        where,
-                    )
-                if name in ring.variables:
-                    check_degree(power)
+
+def _evaluate(terms, atoms, zero, const, text: str, unknown_message: str):
+    """The value of a parsed term list: ``atoms`` maps each known name to
+    its value, ``const`` turns a rational into one, and factors multiply in
+    written order.  An unknown name raises ParseError with
+    ``unknown_message % name``; a degree past the limit raises from the
+    power or product that would reach it."""
+    total = zero
+    for coeff, factors in terms:
+        piece = const(coeff)
+        for name, power, where in factors:
+            if name == _GROUP:
+                piece = piece * _evaluate(power, atoms, zero, const, text, unknown_message)
+            elif name in atoms:
                 piece = piece * atoms[name] ** power
-            total = total + piece
-        return total
-
-    return evaluate(parse_terms(text))
+            else:
+                raise ParseError(unknown_message % (name,), text, where)
+        total = total + piece
+    return total

@@ -560,52 +560,36 @@ def render_polynomial(poly: Polynomial) -> str:
     return " ".join(pieces)
 
 
-# -- univariate helpers ----------------------------------------------------
+# -- division ----------------------------------------------------------------
 
 
-def _univariate_coeffs(poly: Polynomial, name: str) -> list[Coeff]:
-    """Dense ascending coefficient list of a polynomial in one variable."""
-    used = poly.variables_used()
-    if any(v != name for v in used):
-        raise GwpaError(
-            "polynomial %s is not univariate in %r (uses %r)"
-            % (poly, name, list(used))
-        )
-    if poly.is_zero:
-        return []
-    coeffs: list[Coeff] = [0] * (poly.total_degree + 1)
-    for key, c in poly.packed_items():
-        coeffs[key >> poly.ring.top] = c
-    return coeffs
-
-
-def _from_univariate(ring: PolyRing, name: str, coeffs: Sequence[Coeff]) -> Polynomial:
-    unit = ring.units[ring.index(name)]
-    return _from_values(ring, {e * unit: c for e, c in enumerate(coeffs)})
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Classic division of dense ascending coefficient lists."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("univariate division by zero polynomial")
-    while num and num[-1] == 0:
-        num.pop()
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = num[:]
-    dlead = den[-1]
-    while len(rem) >= len(den):
-        factor = rem[-1] / dlead
-        shift = len(rem) - len(den)
-        quot[shift] = factor
-        for k, c in enumerate(den):
-            rem[shift + k] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
+def _divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient q and remainder r of f by a nonzero g in graded-lex order:
+    f = q*g + r and no term of r is divisible by the leading monomial of g, so
+    in one variable this is Euclidean division (Cox, Little and O'Shea, ch. 2
+    section 3)."""
+    f._check_ring(g)
+    lead = max(g._terms)
+    fields = [(s, e) for s in g.ring._shifts if (e := (lead >> s) & _MASK)]
+    inverse = Fraction(g._den, g._terms[lead])
+    tail = [(k - lead, Fraction(c, g._den)) for k, c in g._terms.items() if k != lead]
+    work = {k: Fraction(c, f._den) for k, c in f._terms.items()}
+    quotient, remainder = {}, {}
+    while work:
+        key = max(work)
+        c = work.pop(key)
+        if not all((key >> s) & _MASK >= e for s, e in fields):
+            remainder[key] = c
+            continue
+        factor = c * inverse
+        quotient[key - lead] = factor
+        for k, d in tail:  # every tail key lies below lead, so k + key < key
+            k += key
+            if v := work.get(k, 0) - factor * d:
+                work[k] = v
+            else:
+                del work[k]
+    return _from_values(g.ring, quotient), _from_values(g.ring, remainder)
 
 
 def univariate_gcd(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
@@ -614,44 +598,32 @@ def univariate_gcd(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
     Both inputs must involve only the named variable (constants are fine).
     The gcd of two zero polynomials is zero; otherwise the result is monic.
     """
-    if f.ring != g.ring:
-        raise AmbientMismatchError(f.ring.variables, g.ring.variables)
-    a = _univariate_coeffs(f, name)
-    b = _univariate_coeffs(g, name)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return f.ring.zero()
-    lead = Fraction(a[-1])
-    monic = [Fraction(c) / lead for c in a]
-    return _from_univariate(f.ring, name, monic)
+    f._check_ring(g)
+    for poly in (f, g):
+        used = poly.variables_used()
+        if any(v != name for v in used):
+            raise GwpaError(
+                "polynomial %s is not univariate in %r (uses %r)"
+                % (poly, name, list(used))
+            )
+    while not g.is_zero:
+        f, g = g, _divmod(f, g)[1]
+    if f.is_zero:
+        return f
+    return f._scaled(Fraction(f._den, f._terms[max(f._terms)]))
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """Quotient f/g when g divides f exactly, else None.
 
-    Works for arbitrary multivariate inputs; divisibility by a single
-    polynomial is decided by long division against its leading term.
+    Works for arbitrary multivariate inputs: g divides f exactly when the
+    division of f by g leaves no remainder.
     """
-    if f.ring != g.ring:
-        raise AmbientMismatchError(f.ring.variables, g.ring.variables)
     if g.is_zero:
-        return f.ring.zero() if f.is_zero else None
-    if f.is_zero:
-        return f.ring.zero()
-    g_exps, g_coeff = g.leading_term()
-    quotient = f.ring.zero()
-    rem = f
-    while not rem.is_zero:
-        r_exps, r_coeff = rem.leading_term()
-        diff = tuple(a - b for a, b in zip(r_exps, g_exps))
-        if any(d < 0 for d in diff):
-            return None
-        factor = f.ring.monomial(diff, Fraction(r_coeff) / g_coeff)
-        quotient = quotient + factor
-        rem = rem - factor * g
-    return quotient
+        f._check_ring(g)
+        return f if f.is_zero else None
+    quotient, remainder = _divmod(f, g)
+    return None if remainder._terms else quotient
 
 
 def divides(g: Polynomial, f: Polynomial) -> bool:

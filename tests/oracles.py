@@ -15,6 +15,8 @@ arithmetic on exponent tuples and Fraction coefficients that the packed
 :class:`gwpa.poly.Polynomial` kernel must agree with.  :class:`FractionEchelon`
 and :func:`fraction_rref` are the eliminator on Fraction rows, normalized
 to pivot one, that the integer :class:`gwpa.linalg.Echelon` must agree with.
+:func:`dense_univariate_gcd` is Euclid's algorithm on dense Fraction
+coefficient lists, the reference for :func:`gwpa.poly.univariate_gcd`.
 """
 
 from __future__ import annotations
@@ -354,3 +356,47 @@ def fraction_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
                 _axpy(other, other[pcol], prow)
     columns = range(len(matrix[0]))
     return [[echelon.rows[p].get(col, 0) for col in columns] for p in pivots], pivots
+
+
+# -- univariate gcd on dense Fraction coefficient lists ------------------------
+
+
+def _dense_remainder(num: list, den: list) -> list:
+    """Remainder of classic division of dense ascending Fraction lists; the
+    divisor has a nonzero last entry."""
+    rem = num[:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    while len(rem) >= len(den):
+        factor = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        for k, c in enumerate(den):
+            rem[shift + k] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def dense_univariate_gcd(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
+    """Monic gcd of two polynomials in the one variable ``name`` by Euclid on
+    dense ascending coefficient lists; zero when both inputs are zero."""
+    ring = f.ring
+    i = ring.index(name)
+
+    def dense(poly):
+        coeffs = [Fraction(0)] * (max([e[i] for e in poly.terms()], default=-1) + 1)
+        for exps, c in poly.items():
+            assert sum(exps) == exps[i], "%s is not univariate in %s" % (poly, name)
+            coeffs[exps[i]] = Fraction(c)
+        return coeffs
+
+    a, b = dense(f), dense(g)
+    while b:
+        a, b = b, _dense_remainder(a, b)
+    if not a:
+        return ring.zero()
+    return sum(
+        (ring.monomial([e if j == i else 0 for j in range(ring.nvars)], c / a[-1])
+         for e, c in enumerate(a)),
+        ring.zero(),
+    )

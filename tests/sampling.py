@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from gwpa.engine import GWPAData, GWPAElement
+from gwpa.gallery import univariate_family
 from gwpa.poly import Polynomial, PolyRing
 
 
@@ -61,3 +62,15 @@ def nonzero_element(A: GWPAData, rng: random.Random, **kwargs) -> GWPAElement:
         u = random_element(A, rng, **kwargs)
         if not u.is_zero:
             return u
+
+
+def random_family(rng: random.Random, rank: int) -> GWPAData:
+    """A :func:`univariate_family` algebra: each a_i and b_i is a random
+    polynomial of degree at most 2 in H_i alone, possibly zero."""
+    ring = PolyRing(["H%d" % i for i in range(1, rank + 1)])
+
+    def own(i):
+        powers = [[e if j == i else 0 for j in range(rank)] for e in range(3)]
+        return sum((ring.monomial(m, random_rational(rng)) for m in powers), ring.zero())
+
+    return univariate_family([own(i) for i in range(rank)], [own(i) for i in range(rank)])

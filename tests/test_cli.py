@@ -109,9 +109,12 @@ def test_quantize_check(capsys):
     assert report["all_match"] is True
     assert report["pairs"] == 10
     assert report["predicted_a"] == ["-H^2 + C"]
-    code, _, err = run(capsys, "quantize-check", "p2")
-    assert code == 1
-    assert "needs a gwa spec" in err
+    assert run(capsys, "quantize-check", "p2") == (
+        1,
+        "",
+        "error: 'p2' is a Poisson algebra, not a quantization; quantize-check needs"
+        " a gwa spec or a quantized gallery name (weyl_N, usl2)\n",
+    )
 
 
 def test_validate_command(capsys, tmp_path):
@@ -257,11 +260,19 @@ def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):
         1, "", error,
     )
     assert run(capsys, "mul", "p2", "--", half, half) == (1, "", error)
-    for exponent in (limit + 1, 99999999999999999999):
-        assert run(capsys, "mul", "p2", "--", "H1^%d" % exponent, "1") == (
+    for text, exponent in (
+        ("H1^%d" % (limit + 1), limit + 1),
+        ("H1^99999999999999999999", 99999999999999999999),
+        ("H1^3000000000*H1^3000000000", 6000000000),
+    ):
+        assert run(capsys, "mul", "p2", "--", text, "1") == (
             1, "", "error: monomial total degree %d exceeds the limit of %d\n"
             % (exponent, limit - 1),
         )
+    # a generator power is no monomial of the base ring and has no such limit
+    assert run(capsys, "mul", "weyl_1", "--", "X1^%d" % (limit + 1), "1") == (
+        0, "X1^%d\n" % (limit + 1), "",
+    )
 
 
 def test_high_generator_powers_twist_without_recursion(capsys):
@@ -309,7 +320,8 @@ def test_ore_spec_file_is_realized(capsys, tmp_path):
     assert run(capsys, "quantize-check", str(path)) == (
         1,
         "",
-        "error: quantize-check needs a gwa spec or gallery name\n",
+        "error: %r is a Poisson algebra, not a quantization; quantize-check needs"
+        " a gwa spec or a quantized gallery name (weyl_N, usl2)\n" % str(path),
     )
 
 

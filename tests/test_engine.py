@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwpa.engine import (
     GWPAData,
@@ -28,7 +29,7 @@ from gwpa.poly import PolyRing
 from gwpa.quant import AffineSubstitution, GWAData, weyl_gwa
 
 from oracles import bracket_oracle_graded, bracket_split
-from sampling import nonzero_element, random_element, random_polynomial
+from sampling import nonzero_element, random_element, random_family, random_polynomial
 
 
 def so3_based():
@@ -141,6 +142,19 @@ def test_bracket_axioms_randomized():
                 + w.bracket(u.bracket(v))
             )
             assert jacobiator.is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.randoms(use_true_random=False))
+def test_bracket_axioms_on_random_families(rank, rng):
+    A = random_family(rng, rank)
+    u, v, w = (random_element(A, rng, bound=3) for _ in range(3))
+    assert u.bracket(v) == -(v.bracket(u))
+    assert u.bracket(v * w) == u.bracket(v) * w + v * u.bracket(w)
+    jacobiator = (
+        u.bracket(v.bracket(w)) + v.bracket(w.bracket(u)) + w.bracket(u.bracket(v))
+    )
+    assert jacobiator.is_zero
 
 
 def test_bracket_strategies_agree():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,3 +136,40 @@ def test_element_render_round_trip(name, data):
     alpha = st.tuples(*[st.integers(-3, 3)] * A.rank)
     u = A.element(data.draw(st.dictionaries(alpha, _polynomials(A.base_ring), max_size=4)))
     assert parse_element(str(u), A) == u
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_ALGEBRAS)), st.data())
+def test_element_text_of_a_polynomial_is_its_scalar(name, data):
+    A = _ALGEBRAS[name]
+    ring = A.base_ring
+    first = data.draw(_polynomials(ring))
+    texts, expected = [render_polynomial(first)], first
+    groups = st.lists(_polynomials(ring), min_size=1, max_size=2)
+    for group in data.draw(st.lists(groups, max_size=2)):
+        coeff = data.draw(st.sampled_from(["", "2*", "1/3 "]))
+        texts.append(coeff + "".join("(%s)" % render_polynomial(p) for p in group))
+        product = Fraction(coeff.strip(" *") or 1)
+        for p in group:
+            product = p * product
+        expected = expected - product
+    text = " - ".join(texts)
+    assert parse_polynomial(text, ring) == expected
+    assert parse_element(text, A) == A.scalar(parse_polynomial(text, ring))
+
+
+def test_unknown_name_messages(ring):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("H + 2*(C - Q)", ring)
+    assert str(err.value) == (
+        "unknown variable 'Q' (ring has C, H) (at position 11 in 'H + 2*(C - Q)')"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x", PolyRing([]))
+    assert str(err.value) == "unknown variable 'x' (ring has no variables) (at position 0 in 'x')"
+    with pytest.raises(ParseError) as err:
+        parse_element("(H1 + X3)*Y1", p2n(2))
+    assert str(err.value) == (
+        "unknown name 'X3' (expected a base variable or X1..X2, Y1..Y2)"
+        " (at position 6 in '(H1 + X3)*Y1')"
+    )

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gwpa.errors import AmbientMismatchError, GwpaError
 from gwpa.parser import parse_polynomial
@@ -16,6 +16,7 @@ from gwpa.poly import (
     NEG_INF,
     PolyRing,
     Polynomial,
+    _divmod,
     divides,
     exact_divide,
     monomials_up_to,
@@ -24,7 +25,7 @@ from gwpa.poly import (
 )
 from gwpa.quant import AffineSubstitution
 
-from oracles import TuplePolynomial, derivation_chain_rule
+from oracles import TuplePolynomial, dense_univariate_gcd, derivation_chain_rule
 from sampling import random_polynomial
 
 
@@ -351,3 +352,63 @@ def test_derivation_with_fraction_images_matches_chain_rule(operands):
         expected = expected + ref.partial(i) * TuplePolynomial.of(images[name])
     _agrees(got, expected)
     assert der(f) == got  # warm memo
+
+
+# -- division against the dense reference and its defining properties ----------
+
+
+@st.composite
+def _univariate_pair(draw):
+    """Two polynomials in H over K[C, H] with a drawn common factor; zero and
+    constant inputs are among them."""
+    ring = PolyRing(["C", "H"])
+
+    def poly(max_degree):
+        coeffs = draw(st.lists(_coeff, max_size=max_degree + 1))
+        return Polynomial(ring, {(0, e): c for e, c in enumerate(coeffs)})
+
+    common = poly(2)
+    return ring, common * poly(3), common * poly(3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_univariate_pair())
+def test_univariate_gcd_matches_dense_reference(pair):
+    ring, f, g = pair
+    expected = dense_univariate_gcd(f, g, "H")
+    assert univariate_gcd(f, g, "H") == expected
+    assert univariate_gcd(g, f, "H") == expected
+    assert univariate_gcd(f, ring.zero(), "H") == dense_univariate_gcd(f, ring.zero(), "H")
+    assert univariate_gcd(ring.const(Fraction(-2, 3)), g, "H") == ring.one()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+def test_division_leaves_a_remainder_free_of_the_leading_monomial(operands):
+    ring, (a, b) = operands
+    f, g = Polynomial(ring, a), Polynomial(ring, b)
+    assume(not g.is_zero)
+    quotient, remainder = _divmod(f, g)
+    assert quotient * g + remainder == f
+    lead, _ = g.leading_term()
+    for exps, _ in remainder.items():
+        assert not all(x >= y for x, y in zip(exps, lead))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(count=3))
+def test_exact_divide_recovers_the_cofactor(operands):
+    ring, (a, b, c) = operands
+    h, g = Polynomial(ring, a), Polynomial(ring, b)
+    assume(not g.is_zero)
+    assert exact_divide(h * g, g) == h
+    assert divides(g, h * g)
+    if g.is_constant:
+        return
+    # a nonzero multiple of g has total degree at least deg g, so adding a
+    # nonzero polynomial of lower degree leaves no multiple of g
+    low = {e: v for e, v in c.items() if sum(e) < g.total_degree}
+    bump = Polynomial(ring, low)
+    bump = ring.one() if bump.is_zero else bump
+    assert exact_divide(h * g + bump, g) is None
+    assert not divides(g, h * g + bump)

@@ -6,6 +6,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwpa.engine import OreRealization
 from gwpa.errors import SpecError, ValidationFailure
@@ -17,6 +18,8 @@ from gwpa.specfile import (
     spec_from_gwa,
     spec_from_gwpa,
 )
+
+from sampling import random_family
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -53,6 +56,16 @@ def test_export_and_reimport_gwpa():
     tagged = spec_from_gwpa(A, gallery={"name": "p2n", "params": {"n": 2}})
     assert tagged.gallery == (("name", "p2n"), ("n", 2))
     assert parse_algebra_spec(render_algebra_spec(tagged)) == tagged
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2), st.randoms(use_true_random=False))
+def test_random_family_specs_round_trip(rank, rng):
+    A = random_family(rng, rank)
+    text = render_algebra_spec(spec_from_gwpa(A))
+    again = parse_algebra_spec(text)
+    assert render_algebra_spec(again) == text
+    assert again.build() == A
 
 
 def test_export_and_reimport_gwa():
