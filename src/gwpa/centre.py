@@ -235,8 +235,10 @@ class ClosureReport:
     bound.  ``contains_unit`` is a certificate when true (every basis member
     is a genuine ideal element); when false it is evidence at this bound
     only.  Candidate elements whose weight exceeds the bound are discarded
-    and counted in ``overflow``.  When a unit is found the iteration stops
-    early and ``stopped_early`` is set.
+    and counted in ``overflow``.  When the iteration finds a unit it stops
+    early and sets ``stopped_early``; a unit already in the span of the
+    generators ends the search before any iteration, so there
+    ``contains_unit`` is true and ``stopped_early`` false.
     """
 
     contains_unit: bool

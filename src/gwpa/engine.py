@@ -40,7 +40,7 @@ from .poisson import (
     derivations_commute,
     is_poisson_derivation,
 )
-from .poly import NEG_INF, Polynomial, PolyRing, term_string
+from .poly import NEG_INF, Polynomial, PolyRing, join_signed, term_string
 
 
 @dataclass(frozen=True)
@@ -430,8 +430,7 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
             )
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = data.partials[i], data.partials[j]
-            if any(a(bi) != b(ai) for bi, ai in zip(b.images, a.images)):
+            if not derivations_commute((data.partials[i], data.partials[j])):
                 violations.append(
                     Violation(
                         "commuting-derivations",
@@ -483,36 +482,23 @@ def generator_label(alpha: tuple[int, ...]) -> str:
 
 def render_element(u: GWPAElement) -> str:
     """Canonical text form, graded parts in ascending degree order."""
-    if u.is_zero:
-        return "0"
     variables = u.algebra.base_ring.variables
-    pieces: list[tuple[int, str]] = []  # (sign, body) with sign in {+1, -1}
+    pieces: list[tuple[bool, str]] = []  # (negative, body)
     for alpha in u.support():
         poly = u._terms[alpha]
         label = generator_label(alpha)
         if not label:
             for exps, coeff in poly.sorted_terms():
-                body = term_string(variables, exps, coeff)
-                pieces.append((-1 if coeff < 0 else 1, body))
+                pieces.append((coeff < 0, term_string(variables, exps, coeff)))
             continue
         items = poly.sorted_terms()
         if len(items) == 1:
             exps, coeff = items[0]
-            if any(exps):
-                body = "%s*%s" % (term_string(variables, exps, coeff), label)
-            else:
-                mag = -coeff if coeff < 0 else coeff
-                body = label if mag == 1 else "%s*%s" % (mag, label)
-            pieces.append((-1 if coeff < 0 else 1, body))
+            head = term_string(variables, exps, coeff)
+            pieces.append((coeff < 0, label if head == "1" else "%s*%s" % (head, label)))
         else:
-            pieces.append((1, "(%s)*%s" % (poly, label)))
-    out = []
-    for k, (sign, body) in enumerate(pieces):
-        if k == 0:
-            out.append("-" + body if sign < 0 else body)
-        else:
-            out.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(out)
+            pieces.append((False, "(%s)*%s" % (poly, label)))
+    return join_signed(pieces)
 
 
 # -- bracket core -------------------------------------------------------------
@@ -615,83 +601,61 @@ def from_ore_data(
 ) -> OreRealization:
     """Realize D[X, Y] with {Y_i, X_i} = alpha_i as a rank-n algebra.
 
-    The base is enlarged by fresh central variables H_1..H_n, the i-th
-    parameter is H_i, and the i-th derivation extends the given one by
-    sending H_i to alpha_i and the other new variables to zero.  Requires
-    each alpha_i Poisson central in D and annihilated by the other
-    derivations.  The generator relations are asserted after construction.
+    The input is GWPA defining data over D with a_i = alpha_i, and is
+    validated as such: each derivation must be a Poisson derivation, the
+    derivations must commute, each alpha_i must be Poisson central and the
+    other derivations must annihilate it.  Bad input raises
+    :class:`ValidationFailure` listing every violated condition.  The base
+    is then enlarged by fresh central variables H_1..H_n (a trailing ``_``
+    avoids taken names), the i-th parameter is H_i, and the i-th derivation
+    extends the given one by sending H_i to alpha_i and the other new
+    variables to zero.  The generator relations are asserted after
+    construction.
     """
-    partials = tuple(partials)
-    alphas = tuple(alphas)
-    n = len(alphas)
-    if n == 0 or len(partials) != n:
-        raise GwpaError("need equally many derivations and parameters, at least one")
+    given = GWPAData.checked(D, alphas, partials)
     ring = D.ring
-    for der in partials:
-        if der.ring != ring:
-            raise GwpaError("derivation lives over a different ring")
-        if not is_poisson_derivation(D, der):
-            raise GwpaError("input derivation does not respect the base bracket")
-    if not derivations_commute(partials):
-        raise GwpaError("input derivations do not commute")
-    gens = ring.gens()
-    for idx, alpha in enumerate(alphas):
-        if alpha.ring != ring:
-            raise GwpaError("parameter lives over a different ring")
-        for g, name in zip(gens, ring.variables):
-            if not D.bracket(alpha, g).is_zero:
-                raise GwpaError(
-                    "parameter %d is not Poisson central: {alpha, %s} != 0"
-                    % (idx + 1, name)
-                )
-    for i, der in enumerate(partials):
-        for j, alpha in enumerate(alphas):
-            if i != j and not der(alpha).is_zero:
-                raise GwpaError(
-                    "derivation %d must annihilate parameter %d" % (i + 1, j + 1)
-                )
-
     new_names = []
     taken = set(ring.variables)
-    for i in range(1, n + 1):
+    for i in range(1, given.rank + 1):
         name = "H%d" % i
         while name in taken:
             name += "_"
         new_names.append(name)
         taken.add(name)
     big_ring = ring.extended(new_names)
-    zero = big_ring.zero()
-    old_n = ring.nvars
-    matrix = []
-    for j in range(big_ring.nvars):
-        row = []
-        for k in range(big_ring.nvars):
-            if j < old_n and k < old_n:
-                row.append(D.matrix[j][k].embed(big_ring))
-            else:
-                row.append(zero)
-        matrix.append(tuple(row))
-    big_base = BasePoissonAlgebra(big_ring, tuple(matrix))
-
-    a = tuple(big_ring.var(name) for name in new_names)
     new_partials = []
-    for i, der in enumerate(partials):
-        images = {
-            name: img.embed(big_ring)
-            for name, img in zip(ring.variables, der.images)
-        }
-        images[new_names[i]] = alphas[i].embed(big_ring)
-        new_partials.append(BaseDerivation.from_images(big_ring, images))
-
-    data = GWPAData.checked(big_base, a, tuple(new_partials))
+    for i, der in enumerate(given.partials):
+        images = list(der.embedded(big_ring).images)
+        images[ring.nvars + i] = given.a[i].embed(big_ring)
+        new_partials.append(BaseDerivation(big_ring, tuple(images)))
+    a = tuple(big_ring.var(name) for name in new_names)
+    data = GWPAData.checked(_block_base(big_ring, [(D, {})]), a, new_partials)
 
     # The defining relations must reproduce the requested brackets.
-    for i in range(1, n + 1):
+    for i in range(1, given.rank + 1):
         lhs = data.Y(i).bracket(data.X(i))
-        rhs = data.scalar(alphas[i - 1].embed(big_ring))
+        rhs = data.scalar(given.a[i - 1].embed(big_ring))
         if lhs != rhs:
             raise GwpaError("construction failed to reproduce {Y_%d, X_%d}" % (i, i))
     return OreRealization(data, tuple(new_names))
+
+
+def _block_base(
+    ring: PolyRing, blocks: Sequence[tuple[BasePoissonAlgebra, Mapping[str, str]]]
+) -> BasePoissonAlgebra:
+    """The base over ``ring`` whose bracket matrix is block diagonal: each
+    (base, rename) in turn fills the next block, its variables renamed into
+    ``ring``, and variables past the last block are central."""
+    zero = ring.zero()
+    matrix = [[zero] * ring.nvars for _ in range(ring.nvars)]
+    offset = 0
+    for base, rename in blocks:
+        for j, row in enumerate(base.matrix):
+            for k, entry in enumerate(row):
+                if not entry.is_zero:
+                    matrix[offset + j][offset + k] = entry.embed(ring, rename)
+        offset += base.ring.nvars
+    return BasePoissonAlgebra(ring, matrix)
 
 
 @dataclass(frozen=True)
@@ -728,18 +692,9 @@ def tensor_product(factors: Sequence[GWPAData]) -> TensorProduct:
             all_names.append(fresh)
         renamings.append(rename)
     big_ring = PolyRing(all_names)
-    zero = big_ring.zero()
-    matrix = [[zero] * big_ring.nvars for _ in range(big_ring.nvars)]
-    offset = 0
-    for factor, rename in zip(factors, renamings):
-        n = factor.base_ring.nvars
-        for j in range(n):
-            for k in range(n):
-                entry = factor.base.matrix[j][k]
-                if not entry.is_zero:
-                    matrix[offset + j][offset + k] = entry.embed(big_ring, rename)
-        offset += n
-    big_base = BasePoissonAlgebra(big_ring, tuple(tuple(row) for row in matrix))
+    big_base = _block_base(
+        big_ring, [(factor.base, rename) for factor, rename in zip(factors, renamings)]
+    )
     a = []
     partials = []
     for factor, rename in zip(factors, renamings):

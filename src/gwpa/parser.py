@@ -19,6 +19,7 @@ in written order, which matters for noncommutative products.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -79,21 +80,30 @@ class _Parser:
     def fail(self, message):
         raise ParseError(message, self.text, self.peek()[2])
 
-    def parse_rational(self) -> Fraction:
-        kind, value, _ = self.peek()
+    def take_int(self, missing: str) -> int:
+        """Consume an integer token; ``missing`` is the error without one."""
+        kind, value, where = self.peek()
         if kind != "int":
-            self.fail("expected a number")
+            self.fail(missing)
         self.advance()
-        numerator = int(value)
+        try:
+            return int(value)
+        except ValueError:  # longer than the interpreter converts from text
+            raise ParseError(
+                "a number of %d digits exceeds the limit of %d"
+                % (len(value), sys.get_int_max_str_digits()),
+                self.text,
+                where,
+            ) from None
+
+    def parse_rational(self) -> Fraction:
+        numerator = self.take_int("expected a number")
         if self.peek()[:2] == ("sym", "/"):
             self.advance()
-            kind, denom, _ = self.peek()
-            if kind != "int":
-                self.fail("expected a denominator after '/'")
-            self.advance()
-            if int(denom) == 0:
+            denom = self.take_int("expected a denominator after '/'")
+            if denom == 0:
                 self.fail("zero denominator")
-            return Fraction(numerator, int(denom))
+            return Fraction(numerator, denom)
         return Fraction(numerator)
 
     def parse_term(self, nested: bool):
@@ -128,11 +138,7 @@ class _Parser:
             power = 1
             if self.peek()[:2] == ("sym", "^"):
                 self.advance()
-                kind, exp, _ = self.peek()
-                if kind != "int":
-                    self.fail("expected an exponent after '^'")
-                self.advance()
-                power = int(exp)
+                power = self.take_int("expected an exponent after '^'")
             factors.append((value, power, where))
         return coeff, factors
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BracketMatrixError, GwpaError, JacobiViolationError
-from .poly import Polynomial, PolyRing, _combination, check_degree
+from .poly import Polynomial, PolyRing, _combination, check_degree, memoized
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,7 @@ class BaseDerivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring is not self.ring and f.ring != self.ring:
             raise GwpaError("derivation applied to polynomial over a different ring")
-        memo = self._monomial_images
-
-        def image_of(key: int) -> Polynomial:
-            image = memo.get(key)
-            if image is None:
-                image = memo[key] = self._monomial_image(key)
-            return image
-
-        return f.map_monomials(image_of)
+        return f.map_monomials(memoized(self._monomial_images, self._monomial_image))
 
     def _monomial_image(self, key: int) -> Polynomial:
         """Chain rule on one packed monomial: the sum over variables v of

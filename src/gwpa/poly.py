@@ -14,9 +14,10 @@ coefficients, so equal polynomials render to identical strings.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import AmbientMismatchError, GwpaError
 
@@ -508,6 +509,20 @@ def monomial_image(ring: PolyRing, table: Sequence[Polynomial], key: int) -> Pol
     return image
 
 
+def memoized(memo: dict, image) -> Callable[[int], Polynomial]:
+    """``image`` behind the cache ``memo``: a map from packed keys to
+    polynomials, for :meth:`Polynomial.map_monomials`, that computes each
+    monomial's image once and keeps it in ``memo``."""
+
+    def image_of(key: int) -> Polynomial:
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = image(key)
+        return result
+
+    return image_of
+
+
 def _from_values(ring: PolyRing, values: Mapping[int, Coeff]) -> Polynomial:
     """Build from packed keys with int or Fraction coefficients: the least
     common denominator leaves no factor common to all numerators."""
@@ -538,26 +553,39 @@ def term_string(variables: Sequence[str], exps: tuple[int, ...], coeff: Coeff) -
     """Render one term without a leading sign, e.g. ``2*H^2`` or ``H``."""
     mono = _monomial_string(variables, exps)
     mag = -coeff if coeff < 0 else coeff
+    try:
+        digits = str(mag)
+    except ValueError:  # an int longer than the interpreter converts to text
+        raise GwpaError(
+            "a coefficient has more than %d digits, the limit for rendering"
+            % sys.get_int_max_str_digits()
+        ) from None
     if not mono:
-        return str(mag)
+        return digits
     if mag == 1:
         return mono
-    return "%s*%s" % (mag, mono)
+    return "%s*%s" % (digits, mono)
+
+
+def join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) pairs into signed text: ``-`` before a negative
+    first body, then ``+ `` or ``- `` before each later one; ``0`` if none."""
+    out = []
+    for negative, body in pieces:
+        if not out:
+            out.append("-" + body if negative else body)
+        else:
+            out.append(("- " if negative else "+ ") + body)
+    return " ".join(out) or "0"
 
 
 def render_polynomial(poly: Polynomial) -> str:
     """Canonical text form: graded-lex descending terms joined with signs."""
-    terms = poly.sorted_terms()
-    if not terms:
-        return "0"
-    pieces = []
-    for k, (exps, coeff) in enumerate(terms):
-        body = term_string(poly.ring.variables, exps, coeff)
-        if k == 0:
-            pieces.append("-" + body if coeff < 0 else body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
+    variables = poly.ring.variables
+    return join_signed(
+        (coeff < 0, term_string(variables, exps, coeff))
+        for exps, coeff in poly.sorted_terms()
+    )
 
 
 # -- division ----------------------------------------------------------------

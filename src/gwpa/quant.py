@@ -17,6 +17,7 @@ commutators against that predicted bracket on supplied element pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .engine import (
     GradedAlgebra,
@@ -29,7 +30,7 @@ from .engine import (
 from .errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
 from .linalg import rref
 from .poisson import BaseDerivation, BasePoissonAlgebra
-from .poly import NEG_INF, Polynomial, PolyRing, monomial_image
+from .poly import NEG_INF, Polynomial, PolyRing, memoized, monomial_image
 
 
 class AffineSubstitution:
@@ -74,17 +75,11 @@ class AffineSubstitution:
         return cls(ring, full)
 
     def __call__(self, poly: Polynomial) -> Polynomial:
-        ring, images, memo = self.ring, self.images, self._monomial_images
+        ring, images = self.ring, self.images
         if poly.ring is not ring and poly.ring != ring:
             raise AmbientMismatchError(ring.variables, poly.ring.variables)
-
-        def image_of(key: int) -> Polynomial:
-            image = memo.get(key)
-            if image is None:
-                image = memo[key] = monomial_image(ring, images, key)
-            return image
-
-        return poly.map_monomials(image_of)
+        image = partial(monomial_image, ring, images)
+        return poly.map_monomials(memoized(self._monomial_images, image))
 
     def compose(self, other: "AffineSubstitution") -> "AffineSubstitution":
         """The substitution applying ``other`` first, then this one."""

@@ -171,7 +171,7 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or a number too long to convert
         raise SpecError("not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise SpecError("top level must be an object")

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import pathlib
 import shlex
+import sys
 import types
+
+import pytest
 
 import gwpa.cli
 from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
@@ -14,6 +17,7 @@ from gwpa.specfile import render_algebra_spec, spec_from_gwpa
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "specs"
+SO3 = [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]]
 
 
 def run(capsys, *argv):
@@ -100,6 +104,13 @@ def test_closure_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["contains_unit"] is True
+    # the unit lies in the span of the generators, so no iteration runs
+    assert run(capsys, "closure", "p2", "--degree", "0", "1") == (
+        0,
+        "degree: 0\ncontains_unit: true\ndimension: 1\noverflow: 0\n"
+        "stopped_early: false\n",
+        "",
+    )
 
 
 def test_quantize_check(capsys):
@@ -275,6 +286,34 @@ def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):
     )
 
 
+def test_numbers_past_the_digit_limit_fail_cleanly(capsys, tmp_path):
+    # Python converts ints of at most this many digits to and from text.
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 1)
+    too_long = "a number of %d digits exceeds the limit of %d" % (limit + 1, limit)
+    for text, where in ((long, 0), ("H1^" + long, 3), ("1/" + long, 2)):
+        assert run(capsys, "mul", "p2", "--", text, "X1") == (
+            1, "", "error: %s (at position %d in %r)\n" % (too_long, where, text),
+        )
+    # each factor converts, their product does not
+    most = "9" * limit
+    assert run(capsys, "mul", "p2", "--", most, most) == (
+        1, "", "error: a coefficient has more than %d digits, the limit for"
+        " rendering\n" % limit,
+    )
+    doc = {"kind": "gwpa", "variables": ["H1"], "bracket": [["0"]], "rank": 1,
+           "a": [long], "partials": [["1"]]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path)) == (
+        1, "", "error: a[0]: %s (at position 0 in %r)\n" % (too_long, long),
+    )
+    path.write_text(json.dumps(doc).replace('"rank": 1', '"rank": ' + long))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+
+
 def test_high_generator_powers_twist_without_recursion(capsys):
     # In weyl_1, X d = sigma(d) X with sigma(H1) = H1 - 1, so Y1 H1 = (H1 + 1) Y1
     # and Y1 X1 = H1; hence Y1^1500 H1 X1 = (H1 + 1500) Y1^1499 (Y1 X1)
@@ -322,6 +361,29 @@ def test_ore_spec_file_is_realized(capsys, tmp_path):
         "",
         "error: %r is a Poisson algebra, not a quantization; quantize-check needs"
         " a gwa spec or a quantized gallery name (weyl_N, usl2)\n" % str(path),
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, violation",
+    [
+        ({"variables": ["x", "y", "z"], "bracket": SO3, "rank": 1,
+          "partials": [["0", "0", "0"]], "alphas": ["x"]},
+         "central-parameter[1]: parameter 1 is not Poisson central: {a, y} = z"),
+        ({"variables": ["Z"], "bracket": [["0"]], "rank": 2,
+          "partials": [["0"], ["1"]], "alphas": ["Z", "1"]},
+         "cross-constant[2, 1]: derivation 2 must annihilate parameter 1, got 1"),
+        ({"variables": ["x", "y", "z"], "bracket": SO3, "rank": 1,
+          "partials": [["1", "0", "0"]], "alphas": ["1"]},
+         "poisson-derivation[1]: derivation 1 does not respect the base bracket"),
+    ],
+    ids=["central", "cross", "derivation"],
+)
+def test_invalid_ore_spec_reports_violations(capsys, tmp_path, doc, violation):
+    path = tmp_path / "ore.json"
+    path.write_text(json.dumps(dict(doc, kind="ore")))
+    assert run(capsys, "validate", str(path)) == (
+        1, "", "error: invalid algebra data\n  %s\n" % violation,
     )
 
 

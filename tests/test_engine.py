@@ -262,6 +262,11 @@ def test_ore_construction_rejects_bad_input():
         from_ore_data(base, [hamiltonian], [x])
     with pytest.raises(GwpaError):
         from_ore_data(base, [BaseDerivation.partial(ring, "x")], [ring.one()])
+    # the input is checked as defining data, every violation reported
+    with pytest.raises(ValidationFailure) as info:
+        from_ore_data(base, [BaseDerivation.partial(ring, "x")], [x])
+    conditions = [v.condition for v in info.value.report.violations]
+    assert conditions == ["poisson-derivation", "central-parameter"]
 
 
 def test_tensor_product_of_planes():
@@ -290,6 +295,68 @@ def test_tensor_product_mixed_factors():
     assert A.X(1).bracket(A.scalar(C)).is_zero
     with pytest.raises(GwpaError):
         tensor_product([])
+
+
+def test_ore_realization_is_the_hand_built_algebra():
+    # over so(3) with {z, -} and the Casimir: H1 joins as a central variable
+    so3 = so3_based()
+    ring = PolyRing(["x", "y", "z", "H1"])
+    x, y, z, H1 = ring.gens()
+    zero = ring.zero()
+    casimir = x ** 2 + y ** 2 + z ** 2
+    base = BasePoissonAlgebra(
+        ring,
+        [[zero, z, -y, zero], [-z, zero, x, zero], [y, -x, zero, zero], [zero] * 4],
+    )
+    realization = from_ore_data(so3.base, so3.partials, so3.a)
+    assert realization.algebra == GWPAData(
+        base, (H1,), (BaseDerivation(ring, (y, -x, zero, casimir)),)
+    )
+    # rank two: the i-th derivation sends H_i, and only H_i, to alpha_i
+    small = PolyRing(["Z"])
+    realization = from_ore_data(
+        BasePoissonAlgebra.trivial(small),
+        [BaseDerivation.partial(small, "Z"), BaseDerivation.zero(small)],
+        [small.var("Z"), small.const(3)],
+    )
+    ring = PolyRing(["Z", "H1", "H2"])
+    Z, H1, H2 = ring.gens()
+    assert realization.algebra == GWPAData(
+        BasePoissonAlgebra.trivial(ring),
+        (H1, H2),
+        (
+            BaseDerivation(ring, (ring.one(), Z, ring.zero())),
+            BaseDerivation(ring, (ring.zero(), ring.zero(), ring.const(3))),
+        ),
+    )
+
+
+def test_tensor_square_renames_a_nontrivial_bracket_block():
+    so3 = so3_based()
+    result = tensor_product([so3, so3])
+    names = {"x": "x_2", "y": "y_2", "z": "z_2"}
+    assert result.renamings == ({}, names)
+    ring = PolyRing(["x", "y", "z", "x_2", "y_2", "z_2"])
+    x, y, z, x2, y2, z2 = ring.gens()
+    zero = ring.zero()
+    block = [[zero, z, -y], [-z, zero, x], [y, -x, zero]]
+    block2 = [[zero, z2, -y2], [-z2, zero, x2], [y2, -x2, zero]]
+    base = BasePoissonAlgebra(
+        ring, [row + [zero] * 3 for row in block] + [[zero] * 3 + row for row in block2]
+    )
+    A = result.algebra
+    assert A == GWPAData(
+        base,
+        (x ** 2 + y ** 2 + z ** 2, x2 ** 2 + y2 ** 2 + z2 ** 2),
+        (
+            BaseDerivation(ring, (y, -x, zero, zero, zero, zero)),
+            BaseDerivation(ring, (zero, zero, zero, y2, -x2, zero)),
+        ),
+    )
+    assert A.scalar(x2).bracket(A.scalar(y2)) == A.scalar(z2)
+    assert A.scalar(x).bracket(A.scalar(y2)).is_zero
+    assert A.X(2).bracket(A.scalar(x2)) == -A.scalar(y2) * A.X(2)
+    assert A.X(1).bracket(A.scalar(x2)).is_zero
 
 
 def test_swap_involution():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,14 @@ def test_render_follows_graded_lex_descending(ring):
     assert render_polynomial(ring.zero()) == "0"
     assert render_polynomial(-H) == "-H"
     assert str(C * H - C) == "C*H - C"
+
+
+def test_render_refuses_coefficients_past_the_digit_limit(ring):
+    limit = sys.get_int_max_str_digits()
+    message = "more than %d digits" % limit
+    for coeff in (10 ** limit, Fraction(1, 10 ** limit)):
+        with pytest.raises(GwpaError, match=message):
+            str(ring.monomial((1, 0), coeff))
 
 
 def test_partial_derivative(ring):
