@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Sequence
 
-from .engine import GWPAData, GWPAElement
+from .engine import GWPAData, GWPAElement, _drift
 from .errors import GwpaError
 from .linalg import Echelon, nullspace
 from .poly import Polynomial, PolyRing, _from_values, _make, _reduced, monomial_keys
@@ -108,12 +108,8 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
         raise GwpaError("degree tuple must have length %d" % A.rank)
     ring = A.base_ring
     operators: list[Callable[[Polynomial], Polynomial]] = list(A.partials)
-    gens = ring.gens()
-    for j, g in enumerate(gens):
-        drift = ring.zero()
-        for i, x in enumerate(alpha):
-            if x:
-                drift = drift + A.partials[i](g) * x
+    for g in ring.gens():
+        drift = _drift(A, alpha, g) or ring.zero()
         operators.append(
             lambda lam, g=g, drift=drift: A.base.bracket(lam, g) - lam * drift
         )

@@ -20,7 +20,7 @@ from .centre import centre_component, field_criterion, poisson_ideal_closure
 from .engine import GWPAData
 from .errors import GwpaError, ValidationFailure
 from .gallery import GALLERY, GALLERY_HELP, resolve_gallery
-from .parser import parse_element
+from .parser import digit_limit_message, parse_element
 from .quant import GWAData, gr_correspondence_check
 from .simplicity import simplicity_check
 from .specfile import (
@@ -70,14 +70,24 @@ def _poisson_algebra(source: str) -> GWPAData:
     raise GwpaError("this command needs Poisson algebra data, not a quantization")
 
 
+def _int(text: str, error: type[Exception], problem: str) -> int:
+    """``int(text)``, else ``error(problem)``; a decimal literal past Python's
+    int/str digit limit gets the parser's message instead."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        body = body[1:] if body[:1] in ("+", "-") else body
+        if body.isdecimal():
+            problem = digit_limit_message(len(body))
+        raise error(problem) from None
+
+
 def _parse_alpha_vector(text, rank: int):
     if text is None:
         return tuple(0 for _ in range(rank))
-    parts = [piece.strip() for piece in text.split(",")]
-    try:
-        alpha = tuple(int(piece) for piece in parts)
-    except ValueError:
-        raise GwpaError("--alpha expects a comma-separated integer list") from None
+    problem = "--alpha expects a comma-separated integer list"
+    alpha = tuple(_int(piece, GwpaError, problem) for piece in text.split(","))
     if len(alpha) != rank:
         raise GwpaError(
             "--alpha has %d entries but the algebra has rank %d"
@@ -89,10 +99,7 @@ def _parse_alpha_vector(text, rank: int):
 def _parse_alpha_window(text) -> int:
     if text is None:
         return 4
-    try:
-        value = int(text)
-    except ValueError:
-        raise GwpaError("--alpha expects a single integer bound here") from None
+    value = _int(text, GwpaError, "--alpha expects a single integer bound here")
     if value < 0:
         raise GwpaError("--alpha bound must be nonnegative")
     if value > MAX_ALPHA_WINDOW:
@@ -306,10 +313,7 @@ def _cmd_gallery(args) -> tuple[dict, str]:
 
 
 def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    value = _int(text, argparse.ArgumentTypeError, "expected an integer, got %r" % text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
     return value

@@ -40,7 +40,7 @@ from .poisson import (
     derivations_commute,
     is_poisson_derivation,
 )
-from .poly import NEG_INF, Polynomial, PolyRing, join_signed, term_string
+from .poly import NEG_INF, Polynomial, PolyRing, join_signed, power, term_string
 
 
 @dataclass(frozen=True)
@@ -176,15 +176,7 @@ class GradedElement:
         if len(self._terms) == 1 and zero_alpha in self._terms:
             # a base scalar: the polynomial power checks its degree first
             return self.algebra.scalar(self._terms[zero_alpha] ** exponent)
-        result = self.algebra.one()
-        square = self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
+        return power(self, exponent, self.algebra.one())
 
     # -- comparison and rendering -------------------------------------------
 
@@ -211,8 +203,9 @@ _GENERATOR_NAME = re.compile(r"[XY][0-9]+")
 class GradedAlgebra:
     """Element constructors shared by the Poisson and quantized algebras.
 
-    A subclass provides ``rank``, ``base_ring``, the ``element_type`` it
-    builds, and the two product hooks read by :func:`_graded_mul`:
+    A subclass provides the parameters ``a`` (one per coordinate, so their
+    count is the ``rank``), ``base_ring``, the ``element_type`` it builds,
+    and the two product hooks read by :func:`_graded_mul`:
     ``apply_sigma_alpha(alpha, poly)``, the twist of a coefficient moved
     past v_alpha, and ``contraction_factor(i, p, q)``, the base factor left
     in coordinate i when v_p meets v_q.
@@ -227,6 +220,10 @@ class GradedAlgebra:
                     "base variable %r clashes with the generator names Xi, Yi"
                     % name
                 )
+
+    @property
+    def rank(self) -> int:
+        return len(self.a)
 
     @property
     def zero_alpha(self) -> tuple[int, ...]:
@@ -360,10 +357,6 @@ class GWPAData(GradedAlgebra):
         if not report.ok:
             raise ValidationFailure(report)
         return data
-
-    @property
-    def rank(self) -> int:
-        return len(self.a)
 
     @property
     def base_ring(self) -> PolyRing:

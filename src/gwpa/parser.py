@@ -30,6 +30,13 @@ _SYMBOLS = {"+", "-", "*", "^", "/", "(", ")"}
 _GROUP = "("
 
 
+def digit_limit_message(digits: int) -> str:
+    """The error text for a literal past Python's int/str digit limit."""
+    return "a number of %d digits exceeds the limit of %d" % (
+        digits, sys.get_int_max_str_digits()
+    )
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens as (kind, value, position); kinds are sym, int, name."""
     tokens = []
@@ -89,12 +96,7 @@ class _Parser:
         try:
             return int(value)
         except ValueError:  # longer than the interpreter converts from text
-            raise ParseError(
-                "a number of %d digits exceeds the limit of %d"
-                % (len(value), sys.get_int_max_str_digits()),
-                self.text,
-                where,
-            ) from None
+            raise ParseError(digit_limit_message(len(value)), self.text, where) from None
 
     def parse_rational(self) -> Fraction:
         numerator = self.take_int("expected a number")

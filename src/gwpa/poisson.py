@@ -11,10 +11,11 @@ check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Mapping, Sequence
 
 from .errors import BracketMatrixError, GwpaError, JacobiViolationError
-from .poly import Polynomial, PolyRing, _combination, check_degree, memoized
+from .poly import Polynomial, PolyRing, _combination, check_degree
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,24 @@ class JacobiReport:
     jacobiator: Polynomial | None = None
 
 
-def _as_matrix(ring: PolyRing, matrix) -> tuple[tuple[Polynomial, ...], ...]:
+def _as_matrix(ring: PolyRing, matrix):
+    """The checked matrix as a tuple of rows, and its nonzero entries as
+    (j, k, {x_j, x_k}), row by row."""
     n = ring.nvars
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise BracketMatrixError(
             "bracket matrix must be %d x %d for ring %r" % (n, n, ring)
         )
-    for row in rows:
-        for entry in row:
+    entries = []
+    for j, row in enumerate(rows):
+        for k, entry in enumerate(row):
             if not isinstance(entry, Polynomial) or entry.ring != ring:
                 raise BracketMatrixError(
                     "bracket matrix entries must be polynomials over %r" % (ring,)
                 )
+            if not entry.is_zero:
+                entries.append((j, k, entry))
     for j in range(n):
         if not rows[j][j].is_zero:
             raise BracketMatrixError(
@@ -53,26 +59,21 @@ def _as_matrix(ring: PolyRing, matrix) -> tuple[tuple[Polynomial, ...], ...]:
                 raise BracketMatrixError(
                     "bracket matrix is not antisymmetric at (%d, %d)" % (j + 1, k + 1)
                 )
-    return rows
+    return rows, tuple(entries)
 
 
-def _biderivation_bracket(ring, matrix, f, g):
+def _biderivation_bracket(ring, entries, f, g):
+    """{f, g}: the sum of df/dx_j dg/dx_k {x_j, x_k} over the nonzero
+    ``entries`` of the bracket matrix."""
     result = ring.zero()
-    n = ring.nvars
-    partials_f = None
-    partials_g = None
-    for j in range(n):
-        row = matrix[j]
-        for k in range(n):
-            entry = row[k]
-            if entry.is_zero:
-                continue
-            if partials_f is None:
-                partials_f = [f.partial(v) for v in ring.variables]
-                partials_g = [g.partial(v) for v in ring.variables]
-            if partials_f[j].is_zero or partials_g[k].is_zero:
-                continue
-            result = result + partials_f[j] * partials_g[k] * entry
+    if not entries or f.is_constant or g.is_constant:
+        return result
+    partials_f = [f.partial(v) for v in ring.variables]
+    partials_g = [g.partial(v) for v in ring.variables]
+    for j, k, entry in entries:
+        if partials_f[j].is_zero or partials_g[k].is_zero:
+            continue
+        result = result + partials_f[j] * partials_g[k] * entry
     return result
 
 
@@ -82,22 +83,25 @@ def jacobi_check(ring: PolyRing, matrix) -> JacobiReport:
     The matrix must already be antisymmetric with zero diagonal.  Returns
     the first failing generator triple, if any.
     """
-    rows = _as_matrix(ring, matrix)
+    rows, entries = _as_matrix(ring, matrix)
+    if not entries:
+        return JacobiReport(True)
     gens = ring.gens()
     n = ring.nvars
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 jac = (
-                    _biderivation_bracket(ring, rows, gens[i], rows[j][k])
-                    + _biderivation_bracket(ring, rows, gens[j], rows[k][i])
-                    + _biderivation_bracket(ring, rows, gens[k], rows[i][j])
+                    _biderivation_bracket(ring, entries, gens[i], rows[j][k])
+                    + _biderivation_bracket(ring, entries, gens[j], rows[k][i])
+                    + _biderivation_bracket(ring, entries, gens[k], rows[i][j])
                 )
                 if not jac.is_zero:
                     return JacobiReport(False, (i + 1, j + 1, k + 1), jac)
     return JacobiReport(True)
 
 
+@dataclass(frozen=True, repr=False)
 class BasePoissonAlgebra:
     """Polynomial ring with a validated Poisson bracket on its generators.
 
@@ -105,16 +109,16 @@ class BasePoissonAlgebra:
     Jacobi identity, so every live instance is a genuine Poisson algebra.
     """
 
-    __slots__ = ("ring", "matrix", "_trivial")
+    ring: PolyRing
+    matrix: tuple[tuple[Polynomial, ...], ...]
 
-    def __init__(self, ring: PolyRing, matrix):
-        rows = _as_matrix(ring, matrix)
-        report = jacobi_check(ring, rows)
+    def __post_init__(self):
+        rows, entries = _as_matrix(self.ring, self.matrix)
+        report = jacobi_check(self.ring, rows)
         if not report.holds:
             raise JacobiViolationError(report.failing_triple, report.jacobiator)
-        self.ring = ring
-        self.matrix = rows
-        self._trivial = all(entry.is_zero for row in rows for entry in row)
+        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "_entries", entries)
 
     @classmethod
     def trivial(cls, ring: PolyRing) -> "BasePoissonAlgebra":
@@ -124,13 +128,11 @@ class BasePoissonAlgebra:
 
     @property
     def is_trivial(self) -> bool:
-        return self._trivial
+        return not self._entries
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Poisson bracket of two polynomials."""
-        if self._trivial:
-            return self.ring.zero()
-        return _biderivation_bracket(self.ring, self.matrix, f, g)
+        return _biderivation_bracket(self.ring, self._entries, f, g)
 
     def jacobiator(self, f, g, h) -> Polynomial:
         """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}, identically zero here."""
@@ -140,19 +142,23 @@ class BasePoissonAlgebra:
             + self.bracket(h, self.bracket(f, g))
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasePoissonAlgebra)
-            and self.ring == other.ring
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.matrix))
-
     def __repr__(self):
-        kind = "trivial" if self._trivial else "nontrivial"
+        kind = "trivial" if self.is_trivial else "nontrivial"
         return "BasePoissonAlgebra(%r, %s bracket)" % (self.ring, kind)
+
+
+def _chain_rule(ring: PolyRing, images, key: int) -> Polynomial:
+    """The image of the packed monomial ``key`` under the derivation sending
+    the i-th variable to ``images[i]``: the sum over variables v of
+    e_v x^(key - unit_v) D(x_v)."""
+    parts = [
+        (e, key - unit, image)
+        for e, unit, image in zip(ring.unpack(key), ring.units, images)
+        if e and not image.is_zero
+    ]
+    for _, lowered, image in parts:
+        check_degree((lowered >> ring.top) + image.total_degree)
+    return _combination(ring, parts)
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,8 @@ class BaseDerivation:
     images: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_monomial_images", {})
+        memo = cache(partial(_chain_rule, self.ring, self.images))
+        object.__setattr__(self, "_image_of", memo)
 
     @classmethod
     def from_images(
@@ -201,20 +208,7 @@ class BaseDerivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring is not self.ring and f.ring != self.ring:
             raise GwpaError("derivation applied to polynomial over a different ring")
-        return f.map_monomials(memoized(self._monomial_images, self._monomial_image))
-
-    def _monomial_image(self, key: int) -> Polynomial:
-        """Chain rule on one packed monomial: the sum over variables v of
-        e_v x^(key - unit_v) D(x_v)."""
-        ring = self.ring
-        parts = [
-            (e, key - unit, image)
-            for e, unit, image in zip(ring.unpack(key), ring.units, self.images)
-            if e and not image.is_zero
-        ]
-        for _, lowered, image in parts:
-            check_degree((lowered >> ring.top) + image.total_degree)
-        return _combination(ring, parts)
+        return f.map_monomials(self._image_of)
 
     def negated(self) -> "BaseDerivation":
         return BaseDerivation(self.ring, tuple(-img for img in self.images))

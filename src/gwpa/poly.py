@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import AmbientMismatchError, GwpaError
 
@@ -344,15 +344,7 @@ class Polynomial:
             raise GwpaError("polynomial powers must be nonnegative integers")
         if self._terms:
             check_degree((max(self._terms) >> self.ring.top) * exponent)
-        result = self.ring.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, exponent, self.ring.one())
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -509,18 +501,18 @@ def monomial_image(ring: PolyRing, table: Sequence[Polynomial], key: int) -> Pol
     return image
 
 
-def memoized(memo: dict, image) -> Callable[[int], Polynomial]:
-    """``image`` behind the cache ``memo``: a map from packed keys to
-    polynomials, for :meth:`Polynomial.map_monomials`, that computes each
-    monomial's image once and keeps it in ``memo``."""
-
-    def image_of(key: int) -> Polynomial:
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = image(key)
-        return result
-
-    return image_of
+def power(x, n: int, one):
+    """``x`` to the int ``n`` >= 0 by repeated squaring, starting from the
+    identity ``one``: the one power loop behind polynomials, graded elements
+    and substitutions, whose ``__pow__`` checks the exponent first."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def _from_values(ring: PolyRing, values: Mapping[int, Coeff]) -> Polynomial:

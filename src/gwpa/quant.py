@@ -16,8 +16,9 @@ commutators against that predicted bracket on supplied element pairs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .engine import (
     GradedAlgebra,
@@ -30,9 +31,10 @@ from .engine import (
 from .errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
 from .linalg import rref
 from .poisson import BaseDerivation, BasePoissonAlgebra
-from .poly import NEG_INF, Polynomial, PolyRing, memoized, monomial_image
+from .poly import NEG_INF, Polynomial, PolyRing, monomial_image, power
 
 
+@dataclass(frozen=True, repr=False)
 class AffineSubstitution:
     """A ring endomorphism sending each variable to an affine polynomial.
 
@@ -40,10 +42,12 @@ class AffineSubstitution:
     part in ``==`` or hashing.
     """
 
-    __slots__ = ("ring", "images", "_monomial_images")
+    ring: PolyRing
+    images: tuple[Polynomial, ...]
 
-    def __init__(self, ring: PolyRing, images):
-        images = tuple(images)
+    def __post_init__(self):
+        ring = self.ring
+        images = tuple(self.images)
         if len(images) != ring.nvars:
             raise GwpaError(
                 "expected %d images, got %d" % (ring.nvars, len(images))
@@ -55,9 +59,9 @@ class AffineSubstitution:
                 raise GwpaError(
                     "image of %r is not affine: %s" % (name, image)
                 )
-        self.ring = ring
-        self.images = images
-        self._monomial_images: dict = {}
+        object.__setattr__(self, "images", images)
+        memo = cache(partial(monomial_image, ring, images))
+        object.__setattr__(self, "_image_of", memo)
 
     @classmethod
     def identity(cls, ring: PolyRing) -> "AffineSubstitution":
@@ -75,11 +79,9 @@ class AffineSubstitution:
         return cls(ring, full)
 
     def __call__(self, poly: Polynomial) -> Polynomial:
-        ring, images = self.ring, self.images
-        if poly.ring is not ring and poly.ring != ring:
-            raise AmbientMismatchError(ring.variables, poly.ring.variables)
-        image = partial(monomial_image, ring, images)
-        return poly.map_monomials(memoized(self._monomial_images, image))
+        if poly.ring is not self.ring and poly.ring != self.ring:
+            raise AmbientMismatchError(self.ring.variables, poly.ring.variables)
+        return poly.map_monomials(self._image_of)
 
     def compose(self, other: "AffineSubstitution") -> "AffineSubstitution":
         """The substitution applying ``other`` first, then this one."""
@@ -87,21 +89,15 @@ class AffineSubstitution:
             raise AmbientMismatchError(self.ring.variables, other.ring.variables)
         return AffineSubstitution(self.ring, tuple(self(img) for img in other.images))
 
+    __mul__ = compose
+
     def __pow__(self, k: int) -> "AffineSubstitution":
         """The k-fold composite, by repeated squaring; a negative k composes
         the inverse."""
         if not isinstance(k, int):
             raise GwpaError("substitution powers must be integers")
-        square = self if k >= 0 else self.inverse()
-        result = AffineSubstitution.identity(self.ring)
-        k = abs(k)
-        while k:
-            if k & 1:
-                result = result.compose(square)
-            k >>= 1
-            if k:
-                square = square.compose(square)
-        return result
+        base = self if k >= 0 else self.inverse()
+        return power(base, abs(k), AffineSubstitution.identity(self.ring))
 
     def inverse(self) -> "AffineSubstitution":
         """The inverse substitution; requires an invertible linear part.
@@ -128,14 +124,6 @@ class AffineSubstitution:
         if self.compose(result) != AffineSubstitution.identity(ring):
             raise GwpaError("inverse substitution failed its check")
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineSubstitution):
-            return NotImplemented
-        return self.ring == other.ring and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.ring, self.images))
 
     def __repr__(self):
         parts = ", ".join(
@@ -197,6 +185,7 @@ class GWAElement(GradedElement):
         return self.homogeneous_part(self.degree)
 
 
+@dataclass(frozen=True)
 class GWAData(GradedAlgebra):
     """Defining data of a generalized Weyl algebra with a weight filtration.
 
@@ -206,14 +195,22 @@ class GWAData(GradedAlgebra):
     weighted degree at most weight minus ``nu``.
     """
 
+    ring: PolyRing
+    sigmas: tuple[AffineSubstitution, ...]
+    a: tuple[Polynomial, ...]
+    weights: tuple[int, ...]
+    degrees: tuple[int, ...]
+    nu: int = 1
+
     element_type = GWAElement
 
-    def __init__(self, ring: PolyRing, sigmas, a, weights, degrees, nu: int = 1):
+    def __post_init__(self):
+        ring, nu = self.ring, self.nu
         self._check_base_names(ring)
-        sigmas = tuple(sigmas)
-        a = tuple(a)
-        weights = tuple(int(w) for w in weights)
-        degrees = tuple(int(d) for d in degrees)
+        sigmas = tuple(self.sigmas)
+        a = tuple(self.a)
+        weights = tuple(int(w) for w in self.weights)
+        degrees = tuple(int(d) for d in self.degrees)
         if not sigmas:
             raise GwpaError("rank must be at least one")
         if len(a) != len(sigmas) or len(degrees) != len(sigmas):
@@ -256,38 +253,17 @@ class GWAData(GradedAlgebra):
                         "exceeding %d"
                         % (i + 1, name, drop.weighted_degree(weights), weights[j] - nu)
                     )
-        self.ring = ring
-        self.sigmas = sigmas
-        self.a = a
-        self.weights = weights
-        self.degrees = degrees
-        self.nu = nu
-        self._alpha_maps: dict = {}
-        self._factors: dict = {}
-        self._predicted: GWPAData | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.sigmas)
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_alpha_maps", {})
+        object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_predicted", None)
 
     @property
     def base_ring(self) -> PolyRing:
         return self.ring
-
-    def __eq__(self, other):
-        if not isinstance(other, GWAData):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.sigmas == other.sigmas
-            and self.a == other.a
-            and self.weights == other.weights
-            and self.degrees == other.degrees
-            and self.nu == other.nu
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.sigmas, self.a, self.weights, self.degrees, self.nu))
 
     # -- cached substitution machinery --------------------------------------
 
@@ -385,7 +361,7 @@ def predicted_gwpa(A: GWAData) -> GWPAData:
     return the same object, with its caches.
     """
     if A._predicted is None:
-        A._predicted = _build_predicted(A)
+        object.__setattr__(A, "_predicted", _build_predicted(A))
     return A._predicted
 
 
@@ -416,36 +392,34 @@ def _graded_image(target: GWPAData, element: GWAElement, degree) -> GWPAElement:
     return image
 
 
+@dataclass(frozen=True)
 class GrPairReport:
     """Outcome of the correspondence check on one pair of elements."""
 
-    __slots__ = (
-        "left",
-        "right",
-        "left_degree",
-        "right_degree",
-        "commutator",
-        "commutator_degree",
-        "expected_degree",
-        "degree_drops",
-        "graded_bracket",
-        "predicted_bracket",
-        "matches",
-    )
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            setattr(self, name, fields[name])
+    left: GWAElement
+    right: GWAElement
+    left_degree: int | Fraction
+    right_degree: int | Fraction
+    commutator: GWAElement
+    commutator_degree: int | Fraction | float  # NEG_INF when it vanishes
+    expected_degree: int | Fraction
+    degree_drops: bool
+    graded_bracket: GWPAElement
+    predicted_bracket: GWPAElement
+    matches: bool
 
 
+@dataclass(frozen=True)
 class GrReport:
-    __slots__ = ("algebra", "predicted", "pairs", "all_match")
+    """The correspondence check on every pair, and whether all matched."""
 
-    def __init__(self, algebra: GWAData, predicted: GWPAData, pairs):
-        self.algebra = algebra
-        self.predicted = predicted
-        self.pairs = tuple(pairs)
-        self.all_match = all(pair.matches for pair in self.pairs)
+    algebra: GWAData
+    predicted: GWPAData
+    pairs: tuple[GrPairReport, ...]
+
+    @property
+    def all_match(self) -> bool:
+        return all(pair.matches for pair in self.pairs)
 
 
 def gr_correspondence_check(A: GWAData, pairs) -> GrReport:
@@ -498,7 +472,7 @@ def gr_correspondence_check(A: GWAData, pairs) -> GrReport:
                 matches=drops and graded == predicted_bracket,
             )
         )
-    return GrReport(A, target, results)
+    return GrReport(A, target, tuple(results))
 
 
 # -- stock quantizations ------------------------------------------------------

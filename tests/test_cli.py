@@ -314,6 +314,30 @@ def test_numbers_past_the_digit_limit_fail_cleanly(capsys, tmp_path):
     assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code, prefix, not_a_number",
+    [
+        (["centre", "p2", "--degree"], 2, "gwpa centre: error: argument --degree: ",
+         "expected an integer, got '1.5'"),
+        (["centre", "p2", "--alpha"], 1, "error: ",
+         "--alpha expects a comma-separated integer list"),
+        (["simple", "p2", "--alpha"], 1, "error: ",
+         "--alpha expects a single integer bound here"),
+    ],
+    ids=["degree", "alpha-vector", "alpha-window"],
+)
+def test_option_numbers_past_the_digit_limit(capsys, argv, code, prefix, not_a_number):
+    limit = sys.get_int_max_str_digits()
+    long = "-" + "1" * (limit + 1)
+    got, out, err = run(capsys, *argv, long)
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1] == (
+        "%sa number of %d digits exceeds the limit of %d" % (prefix, limit + 1, limit)
+    )
+    got, out, err = run(capsys, *argv, "1.5")
+    assert (got, out, err.splitlines()[-1]) == (code, "", prefix + not_a_number)
+
+
 def test_high_generator_powers_twist_without_recursion(capsys):
     # In weyl_1, X d = sigma(d) X with sigma(H1) = H1 - 1, so Y1 H1 = (H1 + 1) Y1
     # and Y1 X1 = H1; hence Y1^1500 H1 X1 = (H1 + 1500) Y1^1499 (Y1 X1)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from gwpa import poisson
 from gwpa.errors import BracketMatrixError, JacobiViolationError
 from gwpa.gallery import gr_usl2, p2n
 from gwpa.poisson import (
@@ -16,6 +18,7 @@ from gwpa.poisson import (
     jacobi_check,
 )
 from gwpa.poly import PolyRing
+from gwpa.quant import AffineSubstitution
 
 from oracles import derivation_chain_rule
 from sampling import random_polynomial
@@ -94,6 +97,34 @@ def test_jacobi_violation_detected():
         BasePoissonAlgebra(ring, matrix)
 
 
+def test_jacobi_check_skips_an_all_zero_matrix(monkeypatch):
+    calls = []
+    original = poisson._biderivation_bracket
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poisson, "_biderivation_bracket", counted)
+    ring = PolyRing(["H%d" % i for i in range(1, 61)])
+    assert jacobi_check(ring, [[ring.zero()] * 60 for _ in range(60)]).holds
+    assert calls == []  # 3 * C(60, 3) = 102,660 calls if every triple were tried
+
+
+def test_jacobi_violation_found_among_central_variables():
+    # The violating block of test_jacobi_violation_detected, with central
+    # variables around and between its variables x, y, z.
+    ring = PolyRing(["c1", "x", "c2", "y", "z", "c3"])
+    x, y = ring.var("x"), ring.var("y")
+    matrix = [[ring.zero()] * 6 for _ in range(6)]
+    for j, k, entry in ((1, 3, y), (3, 4, x)):
+        matrix[j][k], matrix[k][j] = entry, -entry
+    report = jacobi_check(ring, matrix)
+    assert (report.holds, report.failing_triple, report.jacobiator) == (False, (2, 4, 5), -x)
+    with pytest.raises(JacobiViolationError):
+        BasePoissonAlgebra(ring, matrix)
+
+
 def test_bracket_axioms_randomized():
     algebra = so3()
     ring = algebra.ring
@@ -155,13 +186,40 @@ def test_memoized_derivation_matches_chain_rule(ders):
 def test_memo_leaves_equality_and_hash_alone():
     ring = PolyRing(["H1", "H2"])
     H1, H2 = ring.gens()
-    used = BaseDerivation.from_images(ring, {"H1": H2, "H2": H1 ** 2})
-    unused = BaseDerivation.from_images(ring, {"H1": H2, "H2": H1 ** 2})
-    assert used(H1 ** 3 * H2 + H2 ** 2) == 3 * H1 ** 2 * H2 ** 2 + H1 ** 5 + 2 * H1 ** 2 * H2
-    assert used == unused
-    assert hash(used) == hash(unused)
-    assert len({used, unused}) == 1
-    assert used != BaseDerivation.from_images(ring, {"H1": H2})
+    f = H1 ** 3 * H2 + H2 ** 2
+    cases = [
+        (
+            lambda: BaseDerivation.from_images(ring, {"H1": H2, "H2": H1 ** 2}),
+            3 * H1 ** 2 * H2 ** 2 + H1 ** 5 + 2 * H1 ** 2 * H2,
+            BaseDerivation.from_images(ring, {"H1": H2}),
+        ),
+        (
+            lambda: AffineSubstitution.from_map(ring, {"H1": H2 + 1, "H2": H1}),
+            (H2 + 1) ** 3 * H1 + H1 ** 2,
+            AffineSubstitution.from_map(ring, {"H1": H2 + 1}),
+        ),
+    ]
+    for build, image, other in cases:
+        used, unused = build(), build()
+        assert used(f) == image
+        assert used == unused
+        assert hash(used) == hash(unused)
+        assert len({used, unused}) == 1
+        assert used != other
+
+
+def test_base_algebra_is_frozen_and_compares_by_value():
+    ring = PolyRing(["H1"])
+    algebra = BasePoissonAlgebra.trivial(ring)
+    with pytest.raises(FrozenInstanceError):
+        algebra.matrix = ((ring.var("H1"),),)  # would skip the Jacobi check
+    assert algebra.matrix == ((ring.zero(),),) and algebra.is_trivial
+
+    listed = so3()
+    tupled = BasePoissonAlgebra(listed.ring, tuple(map(tuple, listed.matrix)))
+    assert isinstance(listed.matrix, tuple)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed != BasePoissonAlgebra.trivial(listed.ring)
 
 
 def test_derivation_arithmetic_and_embedding():

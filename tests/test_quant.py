@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -373,6 +374,44 @@ def test_predicted_algebra_is_built_once_per_algebra():
     assert predicted == p2n(2)
     assert gr_correspondence_check(A, [(A.X(1), A.Y(1))]).predicted is predicted
     assert predicted_gwpa(weyl_gwa(2)) is not predicted
+
+
+def test_value_types_are_frozen_while_their_caches_hold_data():
+    A = weyl_gwa(1)
+    H = A.ring.var("H1")
+    assert A.X(1) * A.scalar(H) == A.scalar(H - 1) * A.X(1)  # fills sigma caches
+    faster = AffineSubstitution.from_map(A.ring, {"H1": H - 2})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A.sigmas = (faster,)
+    assert A.X(1) * A.scalar(H) == A.scalar(H - 1) * A.X(1)
+    assert A == weyl_gwa(1)
+
+    shift = A.sigmas[0]
+    assert shift(H ** 2) == (H - 1) ** 2  # fills the monomial memo
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shift.images = (H - 5,)
+    assert (shift(H), shift(H ** 2)) == (H - 1, (H - 1) ** 2)
+
+    report = gr_correspondence_check(A, [(A.X(1), A.Y(1))])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pairs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pairs[0].matches = False
+    assert report.all_match
+
+
+def test_gwa_data_compares_by_value():
+    ring = PolyRing(["H1"])
+    H1 = ring.var("H1")
+    shift = AffineSubstitution.from_map(ring, {"H1": H1 - 1})
+    listed = GWAData(ring, [shift], [H1], [2], [2])
+    tupled = GWAData(ring, (shift,), (H1,), (2,), (2,))
+    assert isinstance(listed.sigmas, tuple) and isinstance(listed.weights, tuple)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert GWAData(ring, (shift,), (H1,), (2,), (2,), nu=2) != tupled
+    assert dataclasses.replace(tupled, nu=2) == GWAData(ring, (shift,), (H1,), (2,), (2,), 2)
+    with pytest.raises(GwpaError, match="filtration drop"):
+        dataclasses.replace(tupled, nu=0)
 
 
 def test_correspondence_input_errors():
