@@ -70,15 +70,15 @@ def _kernel_polynomials(
     if degree < 0:
         raise GwpaError("degree bound must be nonnegative")
     monos = monomial_keys(ring, degree)
-    # Rows are keyed (operator, packed monomial), which sort in graded order.
-    rows_map: dict[tuple[int, int], list] = {}
+    # Sparse rows keyed (operator, packed monomial), which sort in graded order.
+    rows_map: dict[tuple[int, int], dict] = {}
     for col, key in enumerate(monos):
         mono = _make(ring, {key: 1})
         for k, op in enumerate(operators):
             for r_key, coeff in op(mono).packed_items():
                 row = rows_map.get((k, r_key))
                 if row is None:
-                    row = rows_map[(k, r_key)] = [0] * len(monos)
+                    row = rows_map[(k, r_key)] = {}
                 row[col] = coeff
     matrix = [rows_map[key] for key in sorted(rows_map)]
     vectors = nullspace(matrix, ncols=len(monos))
@@ -102,22 +102,33 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
     defining derivation; {lambda, g} = lambda * sum_i alpha_i p_i(g) for
     every base generator g; and lambda * alpha_i * p_i(a_i) = 0 for every i.
     The base rings here are commutative, so this is also the absolute centre.
+    Zero derivations, and on a zero-bracket base generators with zero
+    drift, give no condition and are dropped.  When a condition is
+    multiplication by a nonzero polynomial (a nonzero alpha_i p_i(a_i), or
+    a nonzero drift on a zero-bracket base) the slice is zero without
+    elimination, since the base ring is a domain.
     """
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != A.rank:
         raise GwpaError("degree tuple must have length %d" % A.rank)
+    if degree < 0:
+        raise GwpaError("degree bound must be nonnegative")
+    zero_slice = CentreComponent(alpha, (), degree)
+    if any(x and not A.p_of_a(i).is_zero for i, x in enumerate(alpha)):
+        return zero_slice
     ring = A.base_ring
-    operators: list[Callable[[Polynomial], Polynomial]] = list(A.partials)
+    operators: list[Callable[[Polynomial], Polynomial]] = [
+        der for der in A.partials if not der.is_zero
+    ]
     for g in ring.gens():
-        drift = _drift(A, alpha, g) or ring.zero()
-        operators.append(
-            lambda lam, g=g, drift=drift: A.base.bracket(lam, g) - lam * drift
-        )
-    for i, x in enumerate(alpha):
-        if x:
-            kill = A.p_of_a(i) * x
-            if not kill.is_zero:
-                operators.append(lambda lam, kill=kill: lam * kill)
+        drift = _drift(A, alpha, g)
+        if not A.base.is_trivial:
+            drift = drift or ring.zero()
+            operators.append(
+                lambda lam, g=g, drift=drift: A.base.bracket(lam, g) - lam * drift
+            )
+        elif drift is not None:
+            return zero_slice
     basis = _kernel_polynomials(ring, degree, operators)
     return CentreComponent(alpha, basis, degree)
 

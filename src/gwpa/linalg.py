@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 :class:`Echelon`, over sparse rows (``dict`` column -> coefficient), is the
-one elimination routine: closures use it directly, centre kernels and
-affine inverses through :func:`rref` on dense matrices (lists of rows of
-ints or Fractions).  Rows hold ints, eliminated fraction-free (Bareiss,
-Math. Comp. 22, 1968).  The reduced row echelon form is canonical for the
-row space, so nullspace bases are deterministic given a column order.
+one elimination routine: closures use it directly, centre kernels through
+:func:`nullspace` on sparse rows, and affine inverses through :func:`rref`
+on dense matrices (lists of rows of ints or Fractions).  Rows hold ints,
+eliminated fraction-free (Bareiss, Math. Comp. 22, 1968).  The reduced row
+echelon form is canonical for the row space, so nullspace bases are
+deterministic given a column order.
 """
 
 from __future__ import annotations
@@ -86,6 +87,31 @@ class Echelon:
         return self.reduce(vec) is None
 
 
+def _back_substituted(matrix) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form of ``matrix`` as :class:`Echelon` rows
+    (pivot -> primitive int row), each reduced above every later pivot.
+
+    Rows may be sparse (``dict``) or dense (lists).  Pivots are visited
+    last to first, so every pivot row a row still holds is already fully
+    reduced; clearing it adds no pivot column, and each row is scanned
+    once for the pivot columns it holds.
+    """
+    echelon = Echelon()
+    for row in matrix:
+        if not isinstance(row, dict):
+            row = {col: v for col, v in enumerate(row) if v}
+        echelon.insert(row)
+    rows = echelon.rows
+    for pcol in sorted(rows, reverse=True):
+        row = rows[pcol]
+        held = [col for col in row if col != pcol and col in rows]
+        for col in held:
+            _eliminate(row, col, rows[col])
+        if held:
+            _primitive(row)
+    return rows
+
+
 def rref(matrix: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and pivot column indices.
 
@@ -95,45 +121,37 @@ def rref(matrix: list[list]) -> tuple[list[list], list[int]]:
     """
     if not matrix:
         return [], []
-    echelon = Echelon()
-    for row in matrix:
-        echelon.insert({col: v for col, v in enumerate(row) if v})
-    pivots = sorted(echelon.rows)
-    for pcol in reversed(pivots):  # back-substitute, last pivot first
-        prow = echelon.rows[pcol]
-        for lead, other in echelon.rows.items():
-            if lead < pcol and pcol in other:
-                _eliminate(other, pcol, prow)
-                _primitive(other)
+    rows = _back_substituted(matrix)
+    pivots = sorted(rows)
     columns = range(len(matrix[0]))
     return [
         [_ratio(row[col], row[p]) if col in row else 0 for col in columns]
-        for p, row in sorted(echelon.rows.items())
+        for p, row in sorted(rows.items())
     ], pivots
 
 
-def nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
+def nullspace(matrix: list, ncols: int | None = None) -> list[list]:
     """Deterministic basis of the solution space of ``matrix @ x = 0``.
 
-    One basis vector per free column, in ascending column order; the free
-    coordinate is set to one and pivot coordinates are back-filled from the
-    reduced form.  An empty matrix means every vector is a solution.
+    Rows are dense lists, or sparse ``dict`` column -> nonzero entry, in
+    which case ``ncols`` is required.  One basis vector per free column, in
+    ascending column order; the free coordinate is set to one and pivot
+    coordinates are read off the reduced rows.  An empty matrix means every
+    vector is a solution.
     """
-    if matrix:
+    if matrix and not isinstance(matrix[0], dict):
         ncols = len(matrix[0])
     elif ncols is None:
-        raise ValueError("ncols is required for an empty constraint matrix")
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
+        raise ValueError("ncols is required for an empty or sparse constraint matrix")
+    rows = _back_substituted(matrix)
+    basis = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for row, pcol in zip(reduced, pivots):
-            value = row[free]
-            if value:
-                vec[pcol] = -value
-        basis.append(vec)
-    return basis
+        if free not in rows:
+            vec = basis[free] = [0] * ncols
+            vec[free] = 1
+    for pcol, row in rows.items():
+        lead = row[pcol]
+        for col, value in row.items():
+            if col != pcol:
+                basis[col][pcol] = _ratio(-value, lead)
+    return list(basis.values())

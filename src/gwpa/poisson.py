@@ -208,6 +208,8 @@ class BaseDerivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring is not self.ring and f.ring != self.ring:
             raise GwpaError("derivation applied to polynomial over a different ring")
+        if f.is_constant:  # zero: the memoized image of the monomial 1
+            return self._image_of(0)
         return f.map_monomials(self._image_of)
 
     def negated(self) -> "BaseDerivation":
@@ -245,6 +247,8 @@ def is_poisson_derivation(D: BasePoissonAlgebra, der: BaseDerivation) -> bool:
     """
     if der.ring != D.ring:
         raise GwpaError("derivation and Poisson algebra live over different rings")
+    if D.is_trivial:  # every term of the defect is a bracket
+        return True
     gens = D.ring.gens()
     n = D.ring.nvars
     for j in range(n):

@@ -15,13 +15,17 @@ arithmetic on exponent tuples and Fraction coefficients that the packed
 :class:`gwpa.poly.Polynomial` kernel must agree with.  :class:`FractionEchelon`
 and :func:`fraction_rref` are the eliminator on Fraction rows, normalized
 to pivot one, that the integer :class:`gwpa.linalg.Echelon` must agree with.
-:func:`dense_univariate_gcd` is Euclid's algorithm on dense Fraction
-coefficient lists, the reference for :func:`gwpa.poly.univariate_gcd`.
+:func:`dense_centre_kernel` is a centre slice from the dense Fraction matrix
+of all its conditions, the reference for the sparse kernel and its
+shortcuts.  :func:`dense_univariate_gcd` is Euclid's algorithm on dense
+Fraction coefficient lists, the reference for
+:func:`gwpa.poly.univariate_gcd`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from gwpa.engine import GWPAData, GWPAElement
@@ -356,6 +360,46 @@ def fraction_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
                 _axpy(other, other[pcol], prow)
     columns = range(len(matrix[0]))
     return [[echelon.rows[p].get(col, 0) for col in columns] for p in pivots], pivots
+
+
+def dense_centre_kernel(A: GWPAData, alpha: Sequence[int], degree: int) -> tuple:
+    """Basis of the centre slice {lambda : lambda v_alpha central, deg lambda
+    <= degree}, the reference for :func:`gwpa.centre.centre_component`.
+
+    Every condition of the slice (each defining derivation, {-, g} - E(g)
+    for each base generator g with E = sum_i alpha_i p_i, and multiplication
+    by each alpha_i p_i(a_i)) contributes one dense Fraction row per result
+    monomial, with no operator dropped and no shortcut; :func:`fraction_rref`
+    reduces them.  One basis element per free monomial, ascending in graded
+    order: total degree, then exponent tuples lexicographically.
+    """
+    ring = A.base_ring
+    operators = list(A.partials)
+    for g in ring.gens():
+        drift = sum((A.partials[i](g) * k for i, k in enumerate(alpha)), ring.zero())
+        operators.append(lambda lam, g=g, drift=drift: A.base.bracket(lam, g) - lam * drift)
+    for i, k in enumerate(alpha):
+        operators.append(lambda lam, kill=A.partials[i](A.a[i]) * k: lam * kill)
+    monos = sorted(
+        (exps for exps in product(range(degree + 1), repeat=ring.nvars) if sum(exps) <= degree),
+        key=lambda exps: (sum(exps), exps),
+    )
+    rows: dict = {}
+    for col, exps in enumerate(monos):
+        for k, op in enumerate(operators):
+            for r_exps, coeff in op(ring.monomial(exps)).items():
+                row = rows.setdefault((k, r_exps), [Fraction(0)] * len(monos))
+                row[col] = Fraction(coeff)
+    reduced, pivots = fraction_rref(list(rows.values()))
+    basis = []
+    for free in range(len(monos)):
+        if free in pivots:
+            continue
+        lam = ring.monomial(monos[free])
+        for row, pcol in zip(reduced, pivots):
+            lam = lam - ring.monomial(monos[pcol], row[free])
+        basis.append(lam)
+    return tuple(basis)
 
 
 # -- univariate gcd on dense Fraction coefficient lists ------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from gwpa.engine import GWPAData, GWPAElement
 from gwpa.gallery import univariate_family
+from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import Polynomial, PolyRing
 
 
@@ -74,3 +75,19 @@ def random_family(rng: random.Random, rank: int) -> GWPAData:
         return sum((ring.monomial(m, random_rational(rng)) for m in powers), ring.zero())
 
     return univariate_family([own(i) for i in range(rank)], [own(i) for i in range(rank)])
+
+
+def so3_based():
+    """Rank-1 algebra over the so(3) bracket with the Casimir as parameter."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    base = BasePoissonAlgebra(
+        ring,
+        [[zero, z, -y], [-z, zero, x], [y, -x, zero]],
+    )
+    hamiltonian = BaseDerivation.from_images(
+        ring, {"x": base.bracket(z, x), "y": base.bracket(z, y)}
+    )
+    casimir = x ** 2 + y ** 2 + z ** 2
+    return GWPAData.checked(base, (casimir,), (hamiltonian,))

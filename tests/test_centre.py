@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwpa.centre import (
     centre_component,
@@ -16,6 +18,10 @@ from gwpa.centre import (
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
+from gwpa.poly import PolyRing
+
+from oracles import dense_centre_kernel
+from sampling import so3_based
 
 
 def test_degree_enumeration():
@@ -68,6 +74,37 @@ def test_nonzero_degree_component_with_constant_parameter():
     for lam in comp.basis:
         u = A.element({(1,): lam})
         assert all(u.bracket(g).is_zero for g in A.generators())
+
+
+# Coefficient lists of univariate a_i and b_i: short lists make zero and
+# constant entries common, hence zero derivations and zero p_i(a_i).
+_univariate = st.lists(st.sampled_from([0, 1, -1, 2, Fraction(-1, 2)]), max_size=3)
+
+
+@st.composite
+def _zero_bracket_families(draw):
+    rank = draw(st.integers(1, 2))
+    ring = PolyRing(["H%d" % i for i in range(1, rank + 1)])
+    gens = ring.gens()
+
+    def own(i):
+        return sum((c * gens[i] ** e for e, c in enumerate(draw(_univariate))), ring.zero())
+
+    return univariate_family([own(i) for i in range(rank)], [own(i) for i in range(rank)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.just(so3_based()), _zero_bracket_families()))
+def test_centre_component_matches_dense_kernel(A):
+    # so(3) has a nonzero bracket; univariate data a zero one, so every
+    # shortcut of the sparse kernel meets the dense reference.
+    for alpha in [(0,) * A.rank] + nonzero_alphas(A.rank, 3):
+        for degree in range(5):
+            assert centre_component(A, alpha, degree).basis == dense_centre_kernel(
+                A, alpha, degree
+            )
+        with pytest.raises(GwpaError):
+            centre_component(A, alpha, -1)
 
 
 def test_absolute_flag_matches_poisson():

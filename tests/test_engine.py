@@ -29,23 +29,13 @@ from gwpa.poly import PolyRing
 from gwpa.quant import AffineSubstitution, GWAData, weyl_gwa
 
 from oracles import bracket_oracle_graded, bracket_split
-from sampling import nonzero_element, random_element, random_family, random_polynomial
-
-
-def so3_based():
-    """Rank-1 algebra over the so(3) bracket with the Casimir as parameter."""
-    ring = PolyRing(["x", "y", "z"])
-    x, y, z = ring.gens()
-    zero = ring.zero()
-    base = BasePoissonAlgebra(
-        ring,
-        [[zero, z, -y], [-z, zero, x], [y, -x, zero]],
-    )
-    hamiltonian = BaseDerivation.from_images(
-        ring, {"x": base.bracket(z, x), "y": base.bracket(z, y)}
-    )
-    casimir = x ** 2 + y ** 2 + z ** 2
-    return GWPAData.checked(base, (casimir,), (hamiltonian,))
+from sampling import (
+    nonzero_element,
+    random_element,
+    random_family,
+    random_polynomial,
+    so3_based,
+)
 
 
 SAMPLE_ALGEBRAS = [p2n(2), gr_usl2(), gr_heisenberg(1), so3_based()]

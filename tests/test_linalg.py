@@ -164,3 +164,24 @@ def test_rref_agrees_with_fraction_reference(matrix):
     assert [list(map(type, row)) for row in reduced] == [
         list(map(type, row)) for row in expected
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda cols: st.tuples(
+            st.just(cols),
+            st.lists(st.lists(_entry, min_size=cols, max_size=cols), max_size=6),
+        )
+    )
+)
+def test_nullspace_of_sparse_rows_matches_dense_rows(case):
+    # Zero rows become empty dicts; no rows at all is every vector.
+    ncols, matrix = case
+    sparse = [{col: v for col, v in enumerate(row) if v} for row in matrix]
+    basis = nullspace(sparse, ncols=ncols)
+    assert basis == nullspace(matrix, ncols=ncols)
+    assert len(basis) == ncols - len(rref(matrix)[1])
+    assert all(len(vec) == ncols for vec in basis)
+    with pytest.raises(ValueError):
+        nullspace(sparse or [{}])
