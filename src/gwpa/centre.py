@@ -44,16 +44,20 @@ class CentreComponent:
 class CriterionVerdict:
     """Outcome of a decision procedure that may be truncated.
 
-    ``exact`` records whether the status is unconditional or only evidence
-    at the recorded bounds.  A failing verdict always carries a concrete
-    witness; an undecided one always explains what was out of reach.
+    ``exact`` is read from ``status``: "holds" and "fails" are
+    unconditional, "undecided" is only evidence at the recorded bounds.  A
+    failing verdict always carries a concrete witness; an undecided one
+    always explains what was out of reach.
     """
 
     status: str  # "holds" | "fails" | "undecided"
-    exact: bool
     detail: str
     witness: object | None = None
     truncation: dict | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.status != "undecided"
 
 
 def _kernel_polynomials(
@@ -187,7 +191,6 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
         if not lam.is_constant:
             return CriterionVerdict(
                 status="fails",
-                exact=True,
                 witness=lam,
                 detail=(
                     "the central derivation constant %s is a nonconstant "
@@ -204,7 +207,6 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
                 witness = GWPAElement(A, {alpha: comp.basis[0]})
                 return CriterionVerdict(
                     status="fails",
-                    exact=True,
                     witness=witness,
                     detail=(
                         "the graded component of degree %r contains the "
@@ -215,7 +217,6 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
     if constants_exact and graded_exact:
         return CriterionVerdict(
             status="holds",
-            exact=True,
             detail=(
                 "derivation constants reduce to the rationals and every "
                 "p_i(a_i) is nonzero over a domain, so all nonzero-degree "
@@ -224,7 +225,6 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
         )
     return CriterionVerdict(
         status="undecided",
-        exact=False,
         detail=(
             "no witness below the bounds; positive evidence is truncated "
             "(constants checked to degree %d, graded components for "

@@ -57,8 +57,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 # -- graded normal form --------------------------------------------------------
@@ -457,8 +460,7 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
                             % (i + 1, j + 1, image),
                         )
                     )
-    ok = not violations
-    return ValidationReport(ok, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def generator_label(alpha: tuple[int, ...]) -> str:

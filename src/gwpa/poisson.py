@@ -23,12 +23,16 @@ class JacobiReport:
     """Outcome of a Jacobi check on a candidate bracket matrix.
 
     ``failing_triple`` holds one-based generator indices of the first
-    violation in lexicographic order, with the offending Jacobiator.
+    violation in lexicographic order, with the offending Jacobiator; the
+    identity holds when there is none.
     """
 
-    holds: bool
     failing_triple: tuple[int, int, int] | None = None
     jacobiator: Polynomial | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.failing_triple is None
 
 
 def _as_matrix(ring: PolyRing, matrix):
@@ -85,7 +89,7 @@ def jacobi_check(ring: PolyRing, matrix) -> JacobiReport:
     """
     rows, entries = _as_matrix(ring, matrix)
     if not entries:
-        return JacobiReport(True)
+        return JacobiReport()
     gens = ring.gens()
     n = ring.nvars
     for i in range(n):
@@ -97,8 +101,8 @@ def jacobi_check(ring: PolyRing, matrix) -> JacobiReport:
                     + _biderivation_bracket(ring, entries, gens[k], rows[i][j])
                 )
                 if not jac.is_zero:
-                    return JacobiReport(False, (i + 1, j + 1, k + 1), jac)
-    return JacobiReport(True)
+                    return JacobiReport((i + 1, j + 1, k + 1), jac)
+    return JacobiReport()
 
 
 @dataclass(frozen=True, repr=False)
@@ -269,6 +273,8 @@ def derivations_commute(ders: Sequence[BaseDerivation]) -> bool:
             if a.ring != b.ring:
                 raise GwpaError("derivations live over different rings")
             for img_b, img_a in zip(b.images, a.images):
+                if img_a.is_constant and img_b.is_constant:
+                    continue  # each term of the commutator kills a constant
                 if a(img_b) != b(img_a):
                     return False
     return True

@@ -5,10 +5,11 @@ ring has no proper Poisson ideal stable under all defining derivations, the
 ideal generated by each parameter together with its own derivative is the
 whole base ring, and the centre of the algebra is a field.  For data whose
 parameters and derivation coefficients are univariate in their own variable
-over a zero-bracket base, each condition reduces to an exact statement about
-constants and univariate gcds.  Outside that family the conditions are
-decided when a finite argument applies and reported as undecided otherwise,
-never guessed.
+over a zero-bracket base, conditions 1 and 3 reduce to exact statements
+about the derivation coefficients.  Condition 2 has one procedure for every
+algebra: a nonzero constant or a univariate gcd decides each pair, which
+covers the whole family.  Otherwise the conditions are decided when a
+finite argument applies and reported as undecided, never guessed.
 """
 
 from __future__ import annotations
@@ -26,18 +27,26 @@ from .poly import Polynomial, divides, univariate_gcd
 class SimplicityReport:
     """Three condition verdicts plus their conjunction.
 
-    ``family`` records whether the exact univariate analysis applied.
-    ``overall`` is "fails" when any condition fails, "holds" when all hold,
-    and "undecided" otherwise.
+    ``family`` records whether the exact univariate analysis of conditions
+    1 and 3 applied.  ``overall`` is read from the three statuses: "fails"
+    when any condition fails, "holds" when all hold, and "undecided"
+    otherwise.
     """
 
     condition1: CriterionVerdict
     condition2: CriterionVerdict
     condition3: CriterionVerdict
-    overall: str
     family: bool
     degree: int
     alpha_max: int
+
+    @property
+    def overall(self) -> str:
+        verdicts = (self.condition1, self.condition2, self.condition3)
+        statuses = {v.status for v in verdicts}
+        if "fails" in statuses:
+            return "fails"
+        return "holds" if statuses == {"holds"} else "undecided"
 
 
 def _univariate_family_coefficients(A: GWPAData):
@@ -71,7 +80,6 @@ def _family_condition1(A: GWPAData, coefficients) -> CriterionVerdict:
             witness = ring.var(ring.variables[i])
             return CriterionVerdict(
                 status="fails",
-                exact=True,
                 witness=witness,
                 detail=(
                     "derivation %d vanishes, so %s generates a proper "
@@ -81,7 +89,6 @@ def _family_condition1(A: GWPAData, coefficients) -> CriterionVerdict:
         if not b.is_constant:
             return CriterionVerdict(
                 status="fails",
-                exact=True,
                 witness=b,
                 detail=(
                     "coefficient b_%d = %s is nonconstant and generates the "
@@ -90,41 +97,7 @@ def _family_condition1(A: GWPAData, coefficients) -> CriterionVerdict:
             )
     return CriterionVerdict(
         status="holds",
-        exact=True,
         detail="every derivation coefficient is a nonzero rational",
-    )
-
-
-def _family_condition2(A: GWPAData) -> CriterionVerdict:
-    ring = A.base_ring
-    for i, a in enumerate(A.a):
-        own = ring.variables[i]
-        da = A.partials[i](a)
-        g = univariate_gcd(a, da, own)
-        if g.is_zero:
-            return CriterionVerdict(
-                status="fails",
-                exact=True,
-                witness=g,
-                detail=(
-                    "a_%d and its derivative are both zero, so the ideal "
-                    "they generate is zero" % (i + 1)
-                ),
-            )
-        if not g.is_constant:
-            return CriterionVerdict(
-                status="fails",
-                exact=True,
-                witness=g,
-                detail=(
-                    "gcd(a_%d, p_%d(a_%d)) = %s is nonconstant, so the "
-                    "ideal they generate is proper" % (i + 1, i + 1, i + 1, g)
-                ),
-            )
-    return CriterionVerdict(
-        status="holds",
-        exact=True,
-        detail="each parameter is coprime to its own derivative",
     )
 
 
@@ -176,7 +149,6 @@ def _general_condition1(A: GWPAData, degree: int) -> CriterionVerdict:
         if _generates_invariant_ideal(A, c):
             return CriterionVerdict(
                 status="fails",
-                exact=True,
                 witness=c,
                 detail=(
                     "%s generates a proper Poisson ideal of the base ring "
@@ -199,7 +171,6 @@ def _general_condition1(A: GWPAData, degree: int) -> CriterionVerdict:
         )
     return CriterionVerdict(
         status="undecided",
-        exact=False,
         detail=(
             "no invariant principal ideal among %d candidates; %s; a full "
             "search over invariant ideals is out of scope"
@@ -226,11 +197,14 @@ def _common_rational_zero(ring, f: Polynomial, g: Polynomial):
     return None
 
 
-def _general_condition2(A: GWPAData) -> CriterionVerdict:
+def _condition2(A: GWPAData) -> CriterionVerdict:
+    """Whether each a_i and p_i(a_i) generate the base ring.  A nonzero
+    constant settles a pair; one variable between them reduces it to a
+    univariate gcd, which decides every pair of the univariate family."""
     ring = A.base_ring
     undecided = []
     for i, a in enumerate(A.a):
-        da = A.partials[i](a)
+        da = A.p_of_a(i)
         if (a.is_constant and not a.is_zero) or (
             da.is_constant and not da.is_zero
         ):
@@ -239,24 +213,21 @@ def _general_condition2(A: GWPAData) -> CriterionVerdict:
         if not used:
             return CriterionVerdict(
                 status="fails",
-                exact=True,
                 witness=ring.zero(),
                 detail=(
-                    "a_%d and p_%d(a_%d) are both zero, so the ideal they "
-                    "generate is zero" % (i + 1, i + 1, i + 1)
+                    "a_%d and its derivative are both zero, so the ideal "
+                    "they generate is zero" % (i + 1)
                 ),
             )
         if len(used) == 1:
-            name = next(iter(used))
-            g = univariate_gcd(a, da, name)
+            g = univariate_gcd(a, da, next(iter(used)))
             if not g.is_constant:
                 return CriterionVerdict(
                     status="fails",
-                    exact=True,
                     witness=g,
                     detail=(
-                        "gcd(a_%d, p_%d(a_%d)) = %s is nonconstant"
-                        % (i + 1, i + 1, i + 1, g)
+                        "gcd(a_%d, p_%d(a_%d)) = %s is nonconstant, so the "
+                        "ideal they generate is proper" % (i + 1, i + 1, i + 1, g)
                     ),
                 )
             continue
@@ -264,7 +235,6 @@ def _general_condition2(A: GWPAData) -> CriterionVerdict:
         if point is not None:
             return CriterionVerdict(
                 status="fails",
-                exact=True,
                 detail=(
                     "a_%d and p_%d(a_%d) both vanish at the point %r, so "
                     "the ideal they generate is proper"
@@ -275,7 +245,6 @@ def _general_condition2(A: GWPAData) -> CriterionVerdict:
     if undecided:
         return CriterionVerdict(
             status="undecided",
-            exact=False,
             detail=(
                 "pairs %r are genuinely multivariate; ideal membership "
                 "beyond the univariate case is out of scope" % undecided
@@ -283,8 +252,7 @@ def _general_condition2(A: GWPAData) -> CriterionVerdict:
         )
     return CriterionVerdict(
         status="holds",
-        exact=True,
-        detail="each parameter generates the base ring with its derivative",
+        detail="each parameter is coprime to its own derivative",
     )
 
 
@@ -301,35 +269,24 @@ def simplicity_check(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Simpli
     family = coefficients is not None
     if family:
         condition1 = _family_condition1(A, coefficients)
-        condition2 = _family_condition2(A)
-        if condition1.status == "holds":
-            condition3 = CriterionVerdict(
-                status="holds",
-                exact=True,
-                detail=(
-                    "constant nonzero derivation coefficients force the "
-                    "derivation constants down to the rationals and kill "
-                    "every nonzero-degree component"
-                ),
-            )
-        else:
-            condition3 = field_criterion(A, degree, alpha_max)
     else:
         condition1 = _general_condition1(A, degree)
-        condition2 = _general_condition2(A)
-        condition3 = field_criterion(A, degree, alpha_max)
-    statuses = (condition1.status, condition2.status, condition3.status)
-    if "fails" in statuses:
-        overall = "fails"
-    elif all(s == "holds" for s in statuses):
-        overall = "holds"
+    condition2 = _condition2(A)
+    if family and condition1.status == "holds":
+        condition3 = CriterionVerdict(
+            status="holds",
+            detail=(
+                "constant nonzero derivation coefficients force the "
+                "derivation constants down to the rationals and kill "
+                "every nonzero-degree component"
+            ),
+        )
     else:
-        overall = "undecided"
+        condition3 = field_criterion(A, degree, alpha_max)
     return SimplicityReport(
         condition1=condition1,
         condition2=condition2,
         condition3=condition3,
-        overall=overall,
         family=family,
         degree=degree,
         alpha_max=alpha_max,

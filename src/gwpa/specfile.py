@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .engine import GWPAData, from_ore_data
 from .errors import GwpaError, ParseError, SpecError
@@ -71,11 +72,15 @@ class AlgebraSpec:
     gallery: tuple[tuple[str, object], ...] | None = None
 
     def build(self):
-        """Construct the described algebra, re-running all validations.
+        """The described algebra, built and validated on the first call.
 
         Returns GWPAData for kind "gwpa", GWAData for kind "gwa" and an
-        OreRealization for kind "ore".
+        OreRealization for kind "ore"; later calls return the same object.
         """
+        return self._built
+
+    @cached_property  # not a field, so equality and hashing ignore it
+    def _built(self):
         return _build(self)
 
 
@@ -166,8 +171,8 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
     """Parse and fully validate a JSON algebra description.
 
     Every polynomial string is reparsed and canonically re-rendered, and the
-    described algebra is built once so that structural violations surface
-    here with field locations rather than later.
+    described algebra is built here, so that structural violations surface
+    with field locations rather than later; ``build()`` returns that algebra.
     """
     try:
         doc = json.loads(text)
@@ -209,7 +214,7 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
             )
 
     spec = AlgebraSpec(**fields)
-    _build(spec)
+    spec.build()
     return spec
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from gwpa.engine import GWPAData, GWPAElement
 from gwpa.gallery import univariate_family
+from gwpa.parser import parse_polynomial
 from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import Polynomial, PolyRing
 
@@ -91,3 +92,14 @@ def so3_based():
     )
     casimir = x ** 2 + y ** 2 + z ** 2
     return GWPAData.checked(base, (casimir,), (hamiltonian,))
+
+
+def zero_bracket_data(variables, a, partials) -> GWPAData:
+    """Checked data over a zero-bracket base: parameters as text and one
+    coordinate derivation d/dv per named variable v."""
+    ring = PolyRing(variables)
+    return GWPAData.checked(
+        BasePoissonAlgebra.trivial(ring),
+        tuple(parse_polynomial(text, ring) for text in a),
+        tuple(BaseDerivation.partial(ring, name) for name in partials),
+    )

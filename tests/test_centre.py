@@ -21,7 +21,7 @@ from gwpa.parser import parse_element
 from gwpa.poly import PolyRing
 
 from oracles import dense_centre_kernel
-from sampling import so3_based
+from sampling import so3_based, zero_bracket_data
 
 
 def test_degree_enumeration():
@@ -144,6 +144,20 @@ def test_field_criterion_verdicts():
     undecided = field_criterion(univariate_family(["H1^3"], ["H1"]))
     assert (undecided.status, undecided.exact) == ("undecided", False)
     assert undecided.truncation == {"degree": 6, "alpha_max": 4}
+
+    # p_i(a_i) = 0, so the graded components are searched: X1*Y2 has zero
+    # drift, since both derivations are d/dH.
+    twin = field_criterion(zero_bracket_data(["H"], ["1", "1"], ["H", "H"]))
+    assert (twin.status, twin.exact) == ("fails", True)
+    assert str(twin.witness) == "X1*Y2"
+    assert "[1, -1]" in twin.detail
+
+    # Every nonzero degree drifts by a nonzero constant, but p(a) = 0 keeps
+    # the verdict bounded.
+    single = field_criterion(zero_bracket_data(["H"], ["1"], ["H"]))
+    assert (single.status, single.exact) == ("undecided", False)
+    assert single.witness is None
+    assert single.truncation == {"degree": 6, "alpha_max": 4}
 
 
 def test_closure_reaches_unit_in_plane():

@@ -11,6 +11,7 @@ import types
 import pytest
 
 import gwpa.cli
+import gwpa.engine
 from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
 from gwpa.gallery import univariate_family
 from gwpa.specfile import render_algebra_spec, spec_from_gwpa
@@ -138,6 +139,26 @@ def test_validate_command(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 0
     assert "kind: gwpa" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "p2n_2.json"), ("simple", "gr_usl2.json", "--degree", "2")],
+    ids=["validate", "simple"],
+)
+def test_spec_file_is_built_once(capsys, monkeypatch, argv):
+    validate = gwpa.engine.validate_gwpa
+    checked = []
+
+    def counting(data):
+        checked.append(data)
+        return validate(data)
+
+    monkeypatch.setattr(gwpa.engine, "validate_gwpa", counting)
+    command, name, *rest = argv
+    code, _, err = run(capsys, command, str(SPEC_DIR / name), *rest)
+    assert (code, err) == (0, "")
+    assert len(checked) == 1
 
 
 def test_gallery_listing_and_specs(capsys):

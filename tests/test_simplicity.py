@@ -11,6 +11,8 @@ from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing
 from gwpa.simplicity import simplicity_check
 
+from sampling import zero_bracket_data
+
 
 def test_planes_are_simple():
     for n in (1, 2, 3):
@@ -126,6 +128,52 @@ def test_general_condition2_multivariate_zero():
     assert report.condition2.status == "fails"
     assert report.condition2.exact
     assert "(0, 0)" in report.condition2.detail
+
+
+@pytest.mark.parametrize(
+    "build, status, witness, detail",
+    [
+        (
+            lambda: zero_bracket_data(["H", "Z"], ["H^2"], ["H"]),
+            "fails",
+            "H",
+            "gcd(a_1, p_1(a_1)) = H is nonconstant, so the ideal they "
+            "generate is proper",
+        ),
+        (
+            lambda: zero_bracket_data(["H", "Z"], ["0"], ["H"]),
+            "fails",
+            "0",
+            "a_1 and its derivative are both zero, so the ideal they "
+            "generate is zero",
+        ),
+        (
+            lambda: zero_bracket_data(["H", "Z"], ["H + 1"], ["H"]),
+            "holds",
+            None,
+            "each parameter is coprime to its own derivative",
+        ),
+        (
+            lambda: p2n(1),
+            "holds",
+            None,
+            "each parameter is coprime to its own derivative",
+        ),
+        (
+            lambda: univariate_family(["H1^2"], ["1"]),
+            "fails",
+            "H1",
+            "gcd(a_1, p_1(a_1)) = H1 is nonconstant, so the ideal they "
+            "generate is proper",
+        ),
+    ],
+    ids=["H^2", "zero", "H+1", "p2n_1", "family_H1^2"],
+)
+def test_condition2_one_procedure(build, status, witness, detail):
+    verdict = simplicity_check(build(), degree=2, alpha_max=1).condition2
+    assert verdict.status == status
+    assert (None if verdict.witness is None else str(verdict.witness)) == witness
+    assert verdict.detail == detail
 
 
 def test_bounds_are_validated():

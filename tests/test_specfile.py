@@ -52,6 +52,8 @@ def test_export_and_reimport_gwpa():
     again = parse_algebra_spec(text)
     assert again == spec
     assert again.build() == A
+    assert again.build() is again.build()
+    assert hash(again) == hash(spec)  # the built algebra is not a field
 
     tagged = spec_from_gwpa(A, gallery={"name": "p2n", "params": {"n": 2}})
     assert tagged.gallery == (("name", "p2n"), ("n", 2))
