@@ -180,25 +180,26 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
     central witness is a non-unit.  A positive answer is exact only when
     analytic shortcuts apply: constant coordinate derivations covering all
     base variables force the constants down to the rationals, and nonzero
-    p_i(a_i) over a domain kill all nonzero-degree components.  Otherwise
-    the verdict stays undecided and reports the bounds searched.
+    p_i(a_i) over a domain kill all nonzero-degree components.  When the
+    cover applies the degree-0 slice is the rationals, so its kernel is not
+    computed.  Otherwise the verdict stays undecided and reports the bounds
+    searched.
     """
     if degree < 0 or alpha_max < 0:
         raise GwpaError("bounds must be nonnegative")
-    zero_alpha = (0,) * A.rank
-    comp0 = centre_component(A, zero_alpha, degree)
-    for lam in comp0.basis:
-        if not lam.is_constant:
-            return CriterionVerdict(
-                status="fails",
-                witness=lam,
-                detail=(
-                    "the central derivation constant %s is a nonconstant "
-                    "polynomial, hence not invertible" % lam
-                ),
-            )
     constants_exact = A.base.is_trivial and _constant_coordinate_cover(A)
-
+    if not constants_exact:
+        comp0 = centre_component(A, (0,) * A.rank, degree)
+        for lam in comp0.basis:
+            if not lam.is_constant:
+                return CriterionVerdict(
+                    status="fails",
+                    witness=lam,
+                    detail=(
+                        "the central derivation constant %s is a nonconstant "
+                        "polynomial, hence not invertible" % lam
+                    ),
+                )
     graded_exact = all(not A.p_of_a(i).is_zero for i in range(A.rank))
     if not graded_exact:
         for alpha in nonzero_alphas(A.rank, alpha_max):

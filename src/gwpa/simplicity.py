@@ -3,13 +3,16 @@
 The algebra is Poisson simple exactly when three conditions hold: the base
 ring has no proper Poisson ideal stable under all defining derivations, the
 ideal generated by each parameter together with its own derivative is the
-whole base ring, and the centre of the algebra is a field.  For data whose
-parameters and derivation coefficients are univariate in their own variable
-over a zero-bracket base, conditions 1 and 3 reduce to exact statements
-about the derivation coefficients.  Condition 2 has one procedure for every
-algebra: a nonzero constant or a univariate gcd decides each pair, which
-covers the whole family.  Otherwise the conditions are decided when a
-finite argument applies and reported as undecided, never guessed.
+whole base ring, and the centre of the algebra is a field.  Each condition
+has one procedure for every algebra.  Condition 1 searches for an invariant
+principal ideal among deterministic candidates; condition 2 settles each
+pair by a nonzero constant, a univariate gcd or a common zero; condition 3
+is :func:`field_criterion`.  The univariate family (parameters and
+derivation coefficients univariate in their own variable over a
+zero-bracket base) keeps one shortcut: when every derivation coefficient
+is a nonzero rational, conditions 1 and 3 hold exactly.  Otherwise the
+conditions are decided when a finite argument applies and reported as
+undecided, never guessed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .centre import CriterionVerdict, field_criterion, poisson_ideal_closure
+from .centre import (
+    CriterionVerdict,
+    _constant_coordinate_cover,
+    field_criterion,
+    poisson_ideal_closure,
+)
 from .engine import GWPAData
 from .errors import GwpaError
 from .poly import Polynomial, divides, univariate_gcd
@@ -27,10 +35,11 @@ from .poly import Polynomial, divides, univariate_gcd
 class SimplicityReport:
     """Three condition verdicts plus their conjunction.
 
-    ``family`` records whether the exact univariate analysis of conditions
-    1 and 3 applied.  ``overall`` is read from the three statuses: "fails"
-    when any condition fails, "holds" when all hold, and "undecided"
-    otherwise.
+    ``family`` records whether the data is in the univariate family; there,
+    and only there, nonzero rational derivation coefficients decide
+    conditions 1 and 3 as holding without a search.  ``overall`` is read
+    from the three statuses: "fails" when any condition fails, "holds" when
+    all hold, and "undecided" otherwise.
     """
 
     condition1: CriterionVerdict
@@ -49,55 +58,17 @@ class SimplicityReport:
         return "holds" if statuses == {"holds"} else "undecided"
 
 
-def _univariate_family_coefficients(A: GWPAData):
-    """The list b with p_i = b_i d/dH_i when the data is in the univariate
-    family (zero base bracket, one variable per pair, a_i and b_i univariate
-    in their own variable); None otherwise.  Detection is conservative."""
+def _in_univariate_family(A: GWPAData) -> bool:
+    """Whether the data is in the univariate family: zero base bracket, one
+    variable per pair, p_i = b_i d/dH_i, and a_i and b_i univariate in their
+    own variable H_i.  Detection is conservative."""
     ring = A.base_ring
     if ring.nvars != A.rank or not A.base.is_trivial:
-        return None
-    coefficients = []
-    for i, der in enumerate(A.partials):
-        own = ring.variables[i]
-        for v, img in enumerate(der.images):
-            if v != i and not img.is_zero:
-                return None
-        b = der.images[i]
-        if any(v != own for v in b.variables_used()):
-            return None
-        coefficients.append(b)
-    for i, a in enumerate(A.a):
-        own = ring.variables[i]
-        if any(v != own for v in a.variables_used()):
-            return None
-    return coefficients
-
-
-def _family_condition1(A: GWPAData, coefficients) -> CriterionVerdict:
-    ring = A.base_ring
-    for i, b in enumerate(coefficients):
-        if b.is_zero:
-            witness = ring.var(ring.variables[i])
-            return CriterionVerdict(
-                status="fails",
-                witness=witness,
-                detail=(
-                    "derivation %d vanishes, so %s generates a proper "
-                    "invariant Poisson ideal" % (i + 1, witness)
-                ),
-            )
-        if not b.is_constant:
-            return CriterionVerdict(
-                status="fails",
-                witness=b,
-                detail=(
-                    "coefficient b_%d = %s is nonconstant and generates the "
-                    "proper invariant Poisson ideal (%s)" % (i + 1, b, b)
-                ),
-            )
-    return CriterionVerdict(
-        status="holds",
-        detail="every derivation coefficient is a nonzero rational",
+        return False
+    return all(
+        all(img.is_zero for v, img in enumerate(der.images) if v != i)
+        and {own}.issuperset(a.variables_used() + der.images[i].variables_used())
+        for i, (own, a, der) in enumerate(zip(ring.variables, A.a, A.partials))
     )
 
 
@@ -259,20 +230,20 @@ def _condition2(A: GWPAData) -> CriterionVerdict:
 def simplicity_check(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> SimplicityReport:
     """Evaluate the three simplicity conditions at the given bounds.
 
-    Condition 3 follows from condition 1 inside the univariate family, where
-    the derivation constants collapse to the rationals; otherwise it is
-    delegated to :func:`field_criterion`.
+    In the univariate family, nonzero rational coefficients b_i (a constant
+    coordinate cover) make conditions 1 and 3 hold exactly: the derivation
+    constants collapse to the rationals.  Every other algebra, and every
+    other member of the family, goes through the invariant-ideal search and
+    :func:`field_criterion`.
     """
     if degree < 0 or alpha_max < 0:
         raise GwpaError("bounds must be nonnegative")
-    coefficients = _univariate_family_coefficients(A)
-    family = coefficients is not None
-    if family:
-        condition1 = _family_condition1(A, coefficients)
-    else:
-        condition1 = _general_condition1(A, degree)
-    condition2 = _condition2(A)
-    if family and condition1.status == "holds":
+    family = _in_univariate_family(A)
+    if family and _constant_coordinate_cover(A):
+        condition1 = CriterionVerdict(
+            status="holds",
+            detail="every derivation coefficient is a nonzero rational",
+        )
         condition3 = CriterionVerdict(
             status="holds",
             detail=(
@@ -282,7 +253,9 @@ def simplicity_check(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Simpli
             ),
         )
     else:
+        condition1 = _general_condition1(A, degree)
         condition3 = field_criterion(A, degree, alpha_max)
+    condition2 = _condition2(A)
     return SimplicityReport(
         condition1=condition1,
         condition2=condition2,

@@ -19,7 +19,8 @@ to pivot one, that the integer :class:`gwpa.linalg.Echelon` must agree with.
 of all its conditions, the reference for the sparse kernel and its
 shortcuts.  :func:`dense_univariate_gcd` is Euclid's algorithm on dense
 Fraction coefficient lists, the reference for
-:func:`gwpa.poly.univariate_gcd`.
+:func:`gwpa.poly.univariate_gcd`; :func:`dense_remainder` on the same lists
+also checks divisibility of simplicity witnesses.
 """
 
 from __future__ import annotations
@@ -405,7 +406,18 @@ def dense_centre_kernel(A: GWPAData, alpha: Sequence[int], degree: int) -> tuple
 # -- univariate gcd on dense Fraction coefficient lists ------------------------
 
 
-def _dense_remainder(num: list, den: list) -> list:
+def dense_coefficients(poly: Polynomial, name: str) -> list:
+    """Dense ascending Fraction coefficients of a polynomial in the one
+    variable ``name``; empty for zero."""
+    i = poly.ring.index(name)
+    coeffs = [Fraction(0)] * (max([e[i] for e in poly.terms()], default=-1) + 1)
+    for exps, c in poly.items():
+        assert sum(exps) == exps[i], "%s is not univariate in %s" % (poly, name)
+        coeffs[exps[i]] = Fraction(c)
+    return coeffs
+
+
+def dense_remainder(num: list, den: list) -> list:
     """Remainder of classic division of dense ascending Fraction lists; the
     divisor has a nonzero last entry."""
     rem = num[:]
@@ -426,17 +438,9 @@ def dense_univariate_gcd(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
     dense ascending coefficient lists; zero when both inputs are zero."""
     ring = f.ring
     i = ring.index(name)
-
-    def dense(poly):
-        coeffs = [Fraction(0)] * (max([e[i] for e in poly.terms()], default=-1) + 1)
-        for exps, c in poly.items():
-            assert sum(exps) == exps[i], "%s is not univariate in %s" % (poly, name)
-            coeffs[exps[i]] = Fraction(c)
-        return coeffs
-
-    a, b = dense(f), dense(g)
+    a, b = dense_coefficients(f, name), dense_coefficients(g, name)
     while b:
-        a, b = b, _dense_remainder(a, b)
+        a, b = b, dense_remainder(a, b)
     if not a:
         return ring.zero()
     return sum(

@@ -1,9 +1,11 @@
-"""Simplicity verdicts: exact family analysis and the general fallback."""
+"""Simplicity verdicts: the family shortcut and the procedures for every algebra."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gwpa import centre
 from gwpa.engine import GWPAData, apply_sI
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
@@ -11,7 +13,8 @@ from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing
 from gwpa.simplicity import simplicity_check
 
-from sampling import zero_bracket_data
+from oracles import dense_coefficients, dense_remainder, derivation_chain_rule
+from sampling import random_family, zero_bracket_data
 
 
 def test_planes_are_simple():
@@ -83,6 +86,54 @@ def test_nonconstant_coefficient_blocks_condition1():
     report = simplicity_check(A)
     assert report.condition1.status == "fails"
     assert report.condition1.witness == A.base_ring.var("H1")
+
+
+def test_mixed_family_failure_comes_from_the_invariant_ideal_search():
+    A = univariate_family(["H1", "H2"], ["H1", "0"])
+    verdict = simplicity_check(A).condition1
+    assert verdict.status == "fails"
+    assert verdict.witness == A.base_ring.var("H2")
+    assert verdict.detail == (
+        "H2 generates a proper Poisson ideal of the base ring stable under "
+        "every defining derivation"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_family_condition1_matches_the_criterion(rank, rng):
+    """Condition 1 holds in the family exactly when every b_i is a nonzero
+    rational; a failure's witness c is nonconstant and divides each p_i(c),
+    checked by the chain rule and dense division."""
+    A = random_family(rng, rank)
+    b = [der.images[i] for i, der in enumerate(A.partials)]
+    verdict = simplicity_check(A, degree=2, alpha_max=1).condition1
+    if all(not c.is_zero and c.is_constant for c in b):
+        assert verdict.status == "holds"
+        return
+    assert verdict.status == "fails"
+    c = verdict.witness
+    used = {v for exps, _ in c.items() for v, e in enumerate(exps) if e}
+    assert len(used) == 1  # nonconstant, and univariate in some H_v
+    name = A.base_ring.variables[used.pop()]
+    for der in A.partials:
+        image = dense_coefficients(derivation_chain_rule(der, c), name)
+        assert dense_remainder(image, dense_coefficients(c, name)) == []
+
+
+def test_covered_field_criterion_runs_no_kernel(monkeypatch):
+    calls = []
+    component = centre.centre_component
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return component(*args, **kwargs)
+
+    monkeypatch.setattr(centre, "centre_component", counted)
+    assert centre.field_criterion(p2n(3)).status == "holds"
+    assert calls == []
+    assert centre.field_criterion(gr_usl2()).status == "fails"
+    assert calls
 
 
 def test_constant_parameter_family_is_simple():
