@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Sequence
 
-from .engine import GWPAData, GWPAElement, _drift
+from .engine import GWPAData, GWPAElement
 from .errors import GwpaError
 from .linalg import Echelon, nullspace
 from .poly import Polynomial, PolyRing, _from_values, _make, _reduced, monomial_keys
@@ -60,6 +60,23 @@ class CriterionVerdict:
         return self.status != "undecided"
 
 
+def kernel_monomial_count(nvars: int, degree: int) -> int:
+    """Columns of one centre kernel: the C(nvars + degree, degree) monomials
+    of total degree at most ``degree`` in ``nvars`` variables."""
+    return comb(nvars + degree, degree)
+
+
+def closure_coordinate_count(rank: int, nvars: int, degree: int) -> int:
+    """Coordinates (alpha, monomial) of weight at most ``degree`` that a
+    bounded closure indexes: the sum over k of C(rank, k) 2^k
+    C(nvars + degree, nvars + k), choosing which k entries of alpha are
+    nonzero and their signs, then the k positive sizes and the monomial."""
+    return sum(
+        comb(rank, k) * 2 ** k * comb(nvars + degree, nvars + k)
+        for k in range(min(rank, degree) + 1)
+    )
+
+
 def _kernel_polynomials(
     ring: PolyRing,
     degree: int,
@@ -90,6 +107,20 @@ def _kernel_polynomials(
         _from_values(ring, {monos[i]: c for i, c in enumerate(vec) if c})
         for vec in vectors
     )
+
+
+def _drift(A: GWPAData, weights, f: Polynomial) -> Polynomial | None:
+    """E_weights(f) = sum_i weights_i p_i(f), or None when it vanishes."""
+    if f.is_constant:
+        return None
+    drift = None
+    for i, k in enumerate(weights):
+        if k:
+            image = A.partials[i](f)
+            if k != 1:
+                image = image * k
+            drift = image if drift is None else drift + image
+    return None if drift is None or drift.is_zero else drift
 
 
 def constants_basis(A: GWPAData, degree: int) -> CentreComponent:

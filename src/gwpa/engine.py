@@ -11,8 +11,10 @@ ones.  The Poisson bracket is determined by
 
 for d in D, all brackets between generators of different index vanishing.
 Elements are kept in graded normal form at all times.  The bracket of two
-elements is the bilinear sum of a closed form for each pair of basis terms
-(:func:`_term_bracket`).
+elements is the bilinear sum of a closed form for each pair of basis terms,
+computed by one kernel (:func:`_bracket_pairs`): the derivation images of
+each operand term are taken once and kept on the element, and each pair's
+base part is one accumulation (:func:`gwpa.poly._combination`).
 
 The graded normal form is shared with the generalized Weyl algebras of
 :mod:`gwpa.quant`, whose associated graded objects are these Poisson
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -40,7 +43,7 @@ from .poisson import (
     derivations_commute,
     is_poisson_derivation,
 )
-from .poly import NEG_INF, Polynomial, PolyRing, join_signed, power, term_string
+from .poly import NEG_INF, Polynomial, PolyRing, _combination, join_signed, power, term_string
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ def _graded_mul(A: GradedAlgebra, left: dict, right: dict) -> dict:
 class GWPAElement(GradedElement):
     """Element of a generalized Weyl Poisson algebra."""
 
-    __slots__ = ()
+    __slots__ = ("_images",)  # filled by :func:`_image_rows`
 
     def component(self, alpha: Sequence[int]) -> "GWPAElement":
         return self.algebra.element({tuple(alpha): self.coefficient(alpha)})
@@ -322,7 +325,7 @@ class GWPAElement(GradedElement):
         operand = self._operand(other)
         if operand is NotImplemented:
             raise GwpaError("cannot take a bracket with %r" % (other,))
-        return self._new(_bracket_pairs(self.algebra, self._terms, operand._terms))
+        return self._new(_bracket_pairs(self.algebra, self, operand))
 
 
 @dataclass(frozen=True)
@@ -498,8 +501,24 @@ def render_element(u: GWPAElement) -> str:
 
 # -- bracket core -------------------------------------------------------------
 
-def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
-    """Coefficient of the bracket of one basis term pair, {d v_alpha, e v_beta}.
+def _image_rows(A: GWPAData, element: GWPAElement) -> dict:
+    """The derivation images of the coefficients of ``element``: per degree
+    alpha, a list whose i-th entry is p_i(d) for the coefficient d, None
+    until a bracket first needs it.  The map lives on the element, so every
+    later bracket reuses it; it is not part of ``==`` or hashing."""
+    rows = getattr(element, "_images", None)
+    if rows is None:
+        zeros, unknown = [A.base_ring.zero()] * A.rank, [None] * A.rank
+        rows = element._images = {
+            alpha: (zeros if d.is_constant else unknown).copy()
+            for alpha, d in element._terms.items()
+        }
+    return rows
+
+
+def _bracket_pairs(A: GWPAData, u: GWPAElement, v: GWPAElement) -> dict:
+    """The bracket {u, v} as a term map: the bilinear sum over basis term
+    pairs of the closed form of {d v_alpha, e v_beta}.
 
     Both slots are derivations over the factor decomposition, which collapses
     to base-ring data: with P the product of overlap powers a_j^{m_j},
@@ -508,62 +527,59 @@ def _term_bracket(A: GWPAData, alpha, d: Polynomial, beta, e: Polynomial):
             + d e sum over opposite-sign coordinates of |alpha_i| beta_i
               p_i(a_i) P / a_i
 
-    carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.
+    carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.  Each image
+    p_i(d) is taken once per operand term, when a partner term first has a
+    nonzero i-th coordinate, and kept (:func:`_image_rows`).  The first
+    bracket is one :func:`_combination` of {d, e} and the terms of d and e
+    times those images.
     """
-    base = d.ring.zero() if A.base.is_trivial else A.base.bracket(d, e)
-    drift = _drift(A, alpha, e)
-    if drift is not None:
-        base = base - d * drift
-    drift = _drift(A, beta, d)
-    if drift is not None:
-        base = base + e * drift
-    overlap = None
-    corrections = []
-    for i in range(A.rank):
-        p, q = alpha[i], beta[i]
-        if p and q and (p > 0) != (q > 0):
-            m = min(abs(p), abs(q))
-            scale = A.p_of_a(i) * (abs(p) * q)
-            if not scale.is_zero:
-                corrections.append((i, m, scale))
-            power = A.a_power(i, m)
-            overlap = power if overlap is None else overlap * power
-    total = base if overlap is None else base * overlap
-    if corrections:
-        de = d * e
-        if not de.is_zero:
-            for i, m, scale in corrections:
-                piece = de * scale * A.a_power(i, m - 1)
-                for j in range(A.rank):
-                    if j != i:
-                        pj, qj = alpha[j], beta[j]
-                        if pj and qj and (pj > 0) != (qj > 0):
-                            piece = piece * A.a_power(j, min(abs(pj), abs(qj)))
-                total = total + piece
-    return total
-
-
-def _drift(A: GWPAData, weights, f: Polynomial) -> Polynomial | None:
-    """E_weights(f) = sum_i weights_i p_i(f), or None when it vanishes."""
-    if f.is_constant:
-        return None
-    drift = None
-    for i, k in enumerate(weights):
-        if k:
-            image = A.partials[i](f)
-            if k != 1:
-                image = image * k
-            drift = image if drift is None else drift + image
-    return None if drift is None or drift.is_zero else drift
-
-
-def _bracket_pairs(A: GWPAData, t1, t2) -> dict:
-    """Bilinear sum of closed-form term-pair brackets."""
+    ring, partials = A.base_ring, A.partials
+    zero = ring.zero()
+    bracket = None if A.base.is_trivial else A.base.bracket
+    rows_u, rows_v = _image_rows(A, u), _image_rows(A, v)
     out: dict = {}
-    for alpha, d in t1.items():
-        for beta, e in t2.items():
-            gamma = tuple(p + q for p, q in zip(alpha, beta))
-            _accumulate(out, gamma, _term_bracket(A, alpha, d, beta, e))
+    for alpha, d in u._terms.items():
+        d_row, d_den = rows_u[alpha], d._den
+        for beta, e in v._terms.items():
+            e_row, e_den = rows_v[beta], e._den
+            # {d, e} - d E_alpha(e) + e E_beta(d), over d_den * e_den
+            parts = [] if bracket is None else [(d_den * e_den, 0, bracket(d, e))]
+            overlaps = []
+            for i, p in enumerate(alpha):
+                q = beta[i]
+                if p:
+                    image = e_row[i]
+                    if image is None:
+                        image = e_row[i] = partials[i](e)
+                    if image._terms:
+                        parts.extend((-p * e_den * c, key, image) for key, c in d._terms.items())
+                if q:
+                    image = d_row[i]
+                    if image is None:
+                        image = d_row[i] = partials[i](d)
+                    if image._terms:
+                        parts.extend((q * d_den * c, key, image) for key, c in e._terms.items())
+                    if p and (p > 0) != (q > 0):
+                        overlaps.append((i, min(abs(p), abs(q)), abs(p) * q))
+            total = _combination(ring, parts, d_den * e_den) if parts else zero
+            if overlaps:
+                overlap = None
+                for i, m, _ in overlaps:
+                    power = A.a_power(i, m)
+                    overlap = power if overlap is None else overlap * power
+                total = total * overlap
+                de = None
+                for i, m, weight in overlaps:
+                    scale = A.p_of_a(i) * weight
+                    if scale.is_zero:
+                        continue
+                    de = d * e if de is None else de
+                    piece = de * scale * A.a_power(i, m - 1)
+                    for j, mj, _ in overlaps:
+                        if j != i:
+                            piece = piece * A.a_power(j, mj)
+                    total = total + piece
+            _accumulate(out, tuple(map(add, alpha, beta)), total)
     return out
 
 

@@ -357,14 +357,7 @@ class Polynomial:
 
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
-        i = self.ring.index(name)
-        shift, unit = self.ring._shifts[i], self.ring.units[i]
-        out = {}
-        for key, c in self._terms.items():
-            e = (key >> shift) & _MASK
-            if e:
-                out[key - unit] = c * e
-        return _reduced(self.ring, out, self._den)
+        return _reduced(self.ring, dict(_partial_terms(self, self.ring.index(name))), self._den)
 
     def map_monomials(self, image_of) -> "Polynomial":
         """The linear extension of a map on monomials: the sum of c times
@@ -474,10 +467,19 @@ def _reduced(ring: PolyRing, terms: dict, den: int) -> Polynomial:
     return _make(ring, terms, den)
 
 
+def _partial_terms(f: Polynomial, i: int) -> list[tuple[int, int]]:
+    """The terms of df/dx_i, the i-th variable, as (packed key, numerator
+    over the denominator of f)."""
+    shift, unit = f.ring._shifts[i], f.ring.units[i]
+    return [(key - unit, c * e) for key, c in f._terms.items() if (e := (key >> shift) & _MASK)]
+
+
 def _combination(ring: PolyRing, parts, den: int = 1) -> Polynomial:
     """The sum of c x^shift p over the (int c, packed shift, polynomial p)
-    in ``parts``, divided by ``den``: the accumulation behind every linear
-    map that is given by its images of monomials."""
+    in ``parts``, divided by ``den``: the one accumulation loop, behind every
+    linear map that is given by its images of monomials and every sum of
+    products.  A product x^shift p of total degree ``DEGREE_LIMIT`` or more
+    raises :class:`GwpaError`, as in a polynomial product."""
     scale = 1
     for _, _, p in parts:
         scale = lcm(scale, p._den)
@@ -488,6 +490,11 @@ def _combination(ring: PolyRing, parts, den: int = 1) -> Polynomial:
         for key, r in p._terms.items():
             key += shift
             out[key] = get(key, 0) + c * r
+    top = ring.top
+    if out and max(out) >> top >= DEGREE_LIMIT:
+        # A key at the limit may have carried into the field above it, so
+        # take the degree from the factors.
+        check_degree(max((shift >> top) + p.total_degree for _, shift, p in parts))
     return _reduced(ring, out, den * scale)
 
 

@@ -7,8 +7,10 @@ recursion: every basis term d v_alpha is factored into a word of atoms (the
 coefficient d, then single generators X_i or Y_i), and the bracket of two
 words is split by halving one of them until only brackets of atoms remain,
 which the defining relations give directly.  It shares nothing with the
-library's closed-form term bracket except the product, so agreement checks
-that closed form.  :func:`derivation_chain_rule` applies a derivation term
+library's bracket kernel (``engine._bracket_pairs``, the closed form of
+each term pair with cached derivation images) except the product, so
+agreement checks that closed form and its caching.
+:func:`derivation_chain_rule` applies a derivation term
 by term from its generator images, as a check on the memoized
 :meth:`BaseDerivation.__call__`.  :class:`TuplePolynomial` is the plain
 arithmetic on exponent tuples and Fraction coefficients that the packed

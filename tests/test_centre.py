@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwpa.centre import (
+    _closure_coordinates,
     centre_component,
+    closure_coordinate_count,
     constants_basis,
     field_criterion,
+    kernel_monomial_count,
     nonzero_alphas,
     poisson_ideal_closure,
 )
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
-from gwpa.poly import PolyRing
+from gwpa.poly import PolyRing, monomial_keys
 
 from oracles import dense_centre_kernel
 from sampling import so3_based, zero_bracket_data
@@ -29,6 +32,18 @@ def test_degree_enumeration():
     assert nonzero_alphas(2, 1) == [(1, 0), (0, 1), (0, -1), (-1, 0)]
     assert nonzero_alphas(1, 0) == []
     assert all(any(a) for a in nonzero_alphas(3, 2))
+
+
+@pytest.mark.parametrize(
+    "A", [p2n(1), p2n(3), gr_usl2(), gr_heisenberg(2), so3_based()],
+    ids=["p2n_1", "p2n_3", "gr_usl2", "gr_heisenberg_2", "so3"],
+)
+def test_closed_form_counts_match_what_is_built(A):
+    n = A.base_ring.nvars
+    for degree in range(6):
+        assert kernel_monomial_count(n, degree) == len(monomial_keys(A.base_ring, degree))
+        coords, _ = _closure_coordinates(A, degree)
+        assert closure_coordinate_count(A.rank, n, degree) == len(coords)
 
 
 def test_constants_of_gallery_algebras():

@@ -10,9 +10,10 @@ import types
 
 import pytest
 
+import gwpa.centre
 import gwpa.cli
 import gwpa.engine
-from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
+from gwpa.cli import MAX_ALPHA_WINDOW, MAX_COORDINATES, MAX_DEGREE, main
 from gwpa.gallery import univariate_family
 from gwpa.specfile import render_algebra_spec, spec_from_gwpa
 
@@ -250,6 +251,31 @@ def test_bounds_above_the_caps_are_rejected(capsys):
         code, out, err = run(capsys, command, "no-such-algebra", "--alpha", too_wide)
         assert (code, out) == (1, "")
         assert "cap of %d" % MAX_ALPHA_WINDOW in err
+
+
+@pytest.mark.parametrize(
+    "argv, count, what",
+    [
+        ("centre p2n_80 --degree 3", 91881, "monomials in a centre kernel"),
+        ("field-check p2n_80 --degree 4", 1929501, "monomials in a centre kernel"),
+        ("simple p2n_20", 230230, "monomials in a centre kernel"),
+        ("simple p2n_3 --degree 24", 3445065, "coordinates in a closure"),
+        ("closure p2n_40 --degree 3 H1", 297781, "coordinates in a closure"),
+    ],
+)
+def test_oversized_kernels_and_closures_exit_before_any_work(
+    capsys, monkeypatch, argv, count, what
+):
+    def refuse(*args):
+        raise AssertionError("a kernel or closure was built")
+
+    monkeypatch.setattr(gwpa.centre, "monomial_keys", refuse)
+    degree = int(argv.split("--degree ")[1].split()[0]) if "--degree" in argv else 6
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err == "error: --degree %d needs %d %s, past the cap of %d\n" % (
+        degree, count, what, MAX_COORDINATES
+    )
 
 
 def test_base_variable_named_like_a_generator_is_rejected(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,79 @@ def test_bracket_strategies_agree():
             u = random_element(A, rng, bound=3)
             v = random_element(A, rng, bound=3)
             assert u.bracket(v) == bracket_split(u, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, "so3"]), st.integers(0, 2 ** 32))
+def test_bracket_matches_leibniz_oracle_with_reused_images(kind, seed):
+    # One element against several partners, then again, so that the second
+    # round reads every derivation image from the operands' caches.  The
+    # mirrored partner meets each term of u with opposite signs.
+    rng = random.Random(seed)
+    A = so3_based() if kind == "so3" else random_family(rng, kind)
+    u = nonzero_element(A, rng, bound=3, terms=3)
+    mirror = A.element({
+        tuple(-x for x in alpha): random_polynomial(A.base_ring, rng, 2, 2)
+        for alpha in u.terms()
+    })
+    other = nonzero_element(A, rng, bound=3, terms=3)
+    partners = [mirror, other, u, other + mirror]
+    fresh = [A.element(x.terms()) for x in [u] + partners]
+    expected = [(bracket_split(u, v), bracket_split(v, u)) for v in partners]
+    for _ in range(2):
+        for v, (uv, vu) in zip(partners, expected):
+            assert u.bracket(v) == uv
+            assert v.bracket(u) == vu
+    for x, copy in zip([u] + partners, fresh):
+        assert x == copy and hash(x) == hash(copy)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: p2n(2), lambda: gr_heisenberg(2), so3_based],
+    ids=["p2n_2", "gr_heisenberg_2", "so3"],
+)
+def test_bracket_applies_each_derivation_once_per_term(make, monkeypatch):
+    A = make()
+    x = A.base_ring.gens()[0]
+    degrees = [A.zero_alpha, A._unit(1, 1), A._unit(1, -1)]
+    degrees.append(tuple(2 if i == 0 else -1 for i in range(A.rank)))
+    u = A.element({alpha: x + j for j, alpha in enumerate(degrees, start=1)})
+    gens = A.generators()
+    for i in range(A.rank):
+        A.p_of_a(i)  # cached on the algebra; a_i may equal a coefficient
+    calls = Counter()
+    original = BaseDerivation.__call__
+
+    def counted(der, f):
+        calls[id(der), f] += 1
+        return original(der, f)
+
+    monkeypatch.setattr(BaseDerivation, "__call__", counted)
+    results = [(u.bracket(g), g.bracket(u)) for g in gens]
+    monkeypatch.undo()
+    assert calls and max(calls.values()) == 1
+    for g, (ug, gu) in zip(gens, results):
+        assert ug == bracket_split(u, g) == -gu
+
+
+def test_brackets_past_the_degree_limit_name_the_degree():
+    half = 2 ** 31
+    A = so3_based()
+    x, y, _ = A.base_ring.gens()
+    assert A.base.bracket(x ** half, y ** half).total_degree == 2 ** 32 - 1
+    with pytest.raises(GwpaError, match="degree 4294967297 exceeds"):
+        A.base.bracket(x ** (half + 1), y ** (half + 1))
+    with pytest.raises(GwpaError, match="degree 4294967296 exceeds"):
+        A.element({(1,): x ** (half + 1)}).bracket(A.element({(-1,): y ** half}))
+    B = p2n(1)
+    H = B.base_ring.var("H1")
+    assert B.scalar(H ** half).bracket(B.X(1) * H ** (half - 1)).total_degree == 2 ** 32 - 1
+    with pytest.raises(GwpaError, match="degree 4294967296 exceeds"):
+        B.scalar(H ** (half + 1)).bracket(B.X(1) * H ** half)
+    C = gr_heisenberg(1)
+    H1, Z = C.base_ring.gens()
+    with pytest.raises(GwpaError, match="degree 4294967300 exceeds"):
+        (C.Y(1) * H1 ** (half + 3)).bracket(C.X(1) * (H1 ** half * Z))
 
 
 def test_bracket_oracle_graded_agreement():
