@@ -60,21 +60,31 @@ class CriterionVerdict:
         return self.status != "undecided"
 
 
-def kernel_monomial_count(nvars: int, degree: int) -> int:
-    """Columns of one centre kernel: the C(nvars + degree, degree) monomials
-    of total degree at most ``degree`` in ``nvars`` variables."""
-    return comb(nvars + degree, degree)
+#: Largest list one computation may build: kernel monomials, closure
+#: coordinates or window degrees.  Each grows like a power of the number of
+#: variables or of the rank, so a longer list raises before any work.
+MAX_COORDINATES = 30_000
 
 
-def closure_coordinate_count(rank: int, nvars: int, degree: int) -> int:
-    """Coordinates (alpha, monomial) of weight at most ``degree`` that a
-    bounded closure indexes: the sum over k of C(rank, k) 2^k
-    C(nvars + degree, nvars + k), choosing which k entries of alpha are
-    nonzero and their signs, then the k positive sizes and the monomial."""
+def coordinate_count(rank: int, nvars: int, degree: int) -> int:
+    """Pairs (alpha in Z^rank, monomial in ``nvars`` variables) of weight at
+    most ``degree``: the sum over k of C(rank, k) 2^k C(nvars + degree,
+    nvars + k), choosing which k entries of alpha are nonzero and their
+    signs, then the k positive sizes and the monomial.  Rank 0 counts kernel
+    monomials; nvars 0 counts the alphas with |alpha| <= degree, zero too."""
     return sum(
         comb(rank, k) * 2 ** k * comb(nvars + degree, nvars + k)
         for k in range(min(rank, degree) + 1)
     )
+
+
+def _check_size(count: int, what: str, option: str, bound: int) -> None:
+    """Refuse to build ``count`` coordinates past ``MAX_COORDINATES``."""
+    if count > MAX_COORDINATES:
+        raise GwpaError(
+            "%s %d needs %d %s, past the cap of %d"
+            % (option, bound, count, what, MAX_COORDINATES)
+        )
 
 
 def _kernel_polynomials(
@@ -87,9 +97,14 @@ def _kernel_polynomials(
     Each operator must be linear; it is evaluated on every monomial and the
     joint kernel is extracted with exact rational elimination.  The basis is
     deterministic: one element per free monomial in ascending graded order.
+    More than ``MAX_COORDINATES`` monomials raise before any is built.
     """
     if degree < 0:
         raise GwpaError("degree bound must be nonnegative")
+    _check_size(
+        coordinate_count(0, ring.nvars, degree),
+        "monomials in a centre kernel", "--degree", degree,
+    )
     monos = monomial_keys(ring, degree)
     # Sparse rows keyed (operator, packed monomial), which sort in graded order.
     rows_map: dict[tuple[int, int], dict] = {}
@@ -214,7 +229,9 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
     p_i(a_i) over a domain kill all nonzero-degree components.  When the
     cover applies the degree-0 slice is the rationals, so its kernel is not
     computed.  Otherwise the verdict stays undecided and reports the bounds
-    searched.
+    searched.  Only lists that are really built are counted against
+    ``MAX_COORDINATES``: each kernel, and the nonzero alphas of the window
+    when no shortcut removes it.
     """
     if degree < 0 or alpha_max < 0:
         raise GwpaError("bounds must be nonnegative")
@@ -233,6 +250,10 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
                 )
     graded_exact = all(not A.p_of_a(i).is_zero for i in range(A.rank))
     if not graded_exact:
+        _check_size(
+            coordinate_count(A.rank, 0, alpha_max) - 1,
+            "grading degrees in a window", "--alpha", alpha_max,
+        )
         for alpha in nonzero_alphas(A.rank, alpha_max):
             comp = centre_component(A, alpha, degree)
             if not comp.is_zero:
@@ -338,10 +359,16 @@ def poisson_ideal_closure(
     by monomials and under bracketing with the algebra generators, keeping
     only results of filtration weight at most ``degree``.  Because every
     retained element genuinely belongs to the ideal, finding a nonzero
-    constant certifies that the ideal is not proper.
+    constant certifies that the ideal is not proper.  More than
+    ``MAX_COORDINATES`` coordinates of weight at most ``degree`` raise
+    before any is built.
     """
     if degree < 0:
         raise GwpaError("closure bound must be nonnegative")
+    _check_size(
+        coordinate_count(A.rank, A.base_ring.nvars, degree),
+        "coordinates in a closure", "--degree", degree,
+    )
     coords, index = _closure_coordinates(A, degree)
     tracker = Echelon()
     overflow = 0

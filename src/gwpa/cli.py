@@ -16,13 +16,7 @@ import json
 import os
 import sys
 
-from .centre import (
-    centre_component,
-    closure_coordinate_count,
-    field_criterion,
-    kernel_monomial_count,
-    poisson_ideal_closure,
-)
+from .centre import centre_component, field_criterion, poisson_ideal_closure
 from .engine import GWPAData
 from .errors import GwpaError, ValidationFailure
 from .gallery import GALLERY, GALLERY_HELP, resolve_gallery
@@ -39,16 +33,11 @@ from .specfile import (
 
 #: Largest ``--degree`` accepted.  The work of a degree-bounded command
 #: grows like a power of the bound, so a short command line could
-#: otherwise ask for hours of elimination; larger values exit 1.
+#: otherwise ask for hours of elimination; larger values exit 1.  Neither
+#: cap bounds the number of variables or the rank: ``centre`` counts each
+#: list it is about to build (kernel monomials, closure coordinates, window
+#: degrees) against ``centre.MAX_COORDINATES``.
 MAX_DEGREE = 24
-
-#: Largest number of monomials in one centre kernel, C(n + d, d) for n base
-#: variables and ``--degree`` d, and of coordinates (alpha, monomial) in one
-#: bounded closure.  Both grow like a power of n, which ``MAX_DEGREE`` does
-#: not bound, so they are counted in closed form before any work; larger
-#: counts exit 1.  ``simple`` and ``field-check`` are counted as if every
-#: kernel and closure ran, even where an exact argument would skip them.
-MAX_COORDINATES = 30_000
 
 #: Largest ``--alpha`` grading window accepted by ``field-check`` and
 #: ``simple``, for the same reason.
@@ -95,21 +84,6 @@ def _int(text: str, error: type[Exception], problem: str) -> int:
         if body.isdecimal():
             problem = digit_limit_message(len(body))
         raise error(problem) from None
-
-
-def _check_size(algebra: GWPAData, degree: int, kernel: bool, closure: bool) -> None:
-    """Refuse a centre kernel or a bounded closure whose coordinate count,
-    computed in closed form, passes ``MAX_COORDINATES``."""
-    n = algebra.base_ring.nvars
-    for wanted, count, what in (
-        (kernel, kernel_monomial_count(n, degree), "monomials in a centre kernel"),
-        (closure, closure_coordinate_count(algebra.rank, n, degree), "coordinates in a closure"),
-    ):
-        if wanted and count > MAX_COORDINATES:
-            raise GwpaError(
-                "--degree %d needs %d %s, past the cap of %d"
-                % (degree, count, what, MAX_COORDINATES)
-            )
 
 
 def _parse_alpha_vector(text, rank: int):
@@ -198,7 +172,6 @@ def _cmd_mul(args) -> tuple[dict, str]:
 def _cmd_centre(args) -> tuple[dict, str]:
     algebra = _poisson_algebra(args.source)
     alpha = _parse_alpha_vector(args.alpha, algebra.rank)
-    _check_size(algebra, args.degree, kernel=True, closure=False)
     component = centre_component(algebra, alpha, args.degree)
     rendered = [
         str(algebra.element({alpha: poly})) for poly in component.basis
@@ -225,7 +198,6 @@ def _cmd_centre(args) -> tuple[dict, str]:
 def _cmd_field_check(args) -> tuple[dict, str]:
     window = _parse_alpha_window(args.alpha)
     algebra = _poisson_algebra(args.source)
-    _check_size(algebra, args.degree, kernel=True, closure=False)
     verdict = field_criterion(algebra, args.degree, window)
     report = {
         "command": "field-check",
@@ -241,7 +213,6 @@ def _cmd_field_check(args) -> tuple[dict, str]:
 def _cmd_simple(args) -> tuple[dict, str]:
     window = _parse_alpha_window(args.alpha)
     algebra = _poisson_algebra(args.source)
-    _check_size(algebra, args.degree, kernel=True, closure=True)
     result = simplicity_check(algebra, args.degree, window)
     report = {
         "command": "simple",
@@ -267,7 +238,6 @@ def _cmd_simple(args) -> tuple[dict, str]:
 
 def _cmd_closure(args) -> tuple[dict, str]:
     algebra = _poisson_algebra(args.source)
-    _check_size(algebra, args.degree, kernel=False, closure=True)
     generators = [parse_element(text, algebra) for text in args.generators]
     result = poisson_ideal_closure(algebra, generators, args.degree)
     report = {

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from gwpa.centre import (
     _closure_coordinates,
     centre_component,
-    closure_coordinate_count,
     constants_basis,
+    coordinate_count,
     field_criterion,
-    kernel_monomial_count,
     nonzero_alphas,
     poisson_ideal_closure,
 )
@@ -41,9 +40,10 @@ def test_degree_enumeration():
 def test_closed_form_counts_match_what_is_built(A):
     n = A.base_ring.nvars
     for degree in range(6):
-        assert kernel_monomial_count(n, degree) == len(monomial_keys(A.base_ring, degree))
+        assert coordinate_count(0, n, degree) == len(monomial_keys(A.base_ring, degree))
         coords, _ = _closure_coordinates(A, degree)
-        assert closure_coordinate_count(A.rank, n, degree) == len(coords)
+        assert coordinate_count(A.rank, n, degree) == len(coords)
+        assert coordinate_count(A.rank, 0, degree) - 1 == len(nonzero_alphas(A.rank, degree))
 
 
 def test_constants_of_gallery_algebras():

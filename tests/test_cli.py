@@ -13,7 +13,8 @@ import pytest
 import gwpa.centre
 import gwpa.cli
 import gwpa.engine
-from gwpa.cli import MAX_ALPHA_WINDOW, MAX_COORDINATES, MAX_DEGREE, main
+from gwpa.centre import MAX_COORDINATES
+from gwpa.cli import MAX_ALPHA_WINDOW, MAX_DEGREE, main
 from gwpa.gallery import univariate_family
 from gwpa.specfile import render_algebra_spec, spec_from_gwpa
 
@@ -257,9 +258,8 @@ def test_bounds_above_the_caps_are_rejected(capsys):
     "argv, count, what",
     [
         ("centre p2n_80 --degree 3", 91881, "monomials in a centre kernel"),
-        ("field-check p2n_80 --degree 4", 1929501, "monomials in a centre kernel"),
-        ("simple p2n_20", 230230, "monomials in a centre kernel"),
-        ("simple p2n_3 --degree 24", 3445065, "coordinates in a closure"),
+        ("field-check gr_heisenberg_20", 296010, "monomials in a centre kernel"),
+        ("simple gr_heisenberg_20", 296010, "monomials in a centre kernel"),
         ("closure p2n_40 --degree 3 H1", 297781, "coordinates in a closure"),
     ],
 )
@@ -276,6 +276,75 @@ def test_oversized_kernels_and_closures_exit_before_any_work(
     assert err == "error: --degree %d needs %d %s, past the cap of %d\n" % (
         degree, count, what, MAX_COORDINATES
     )
+
+
+@pytest.mark.parametrize(
+    "rank, window, count", [(20, 4, 118720), (8, 12, 4673344)]
+)
+def test_oversized_windows_exit_before_any_slice(
+    capsys, monkeypatch, tmp_path, rank, window, count
+):
+    # a_i = 1 makes every p_i(a_i) zero, so no shortcut removes the window.
+    def refuse(*args):
+        raise AssertionError("a graded slice was computed")
+
+    monkeypatch.setattr(gwpa.centre, "centre_component", refuse)
+    path = tmp_path / "ones.json"
+    path.write_text(render_algebra_spec(spec_from_gwpa(
+        univariate_family(["1"] * rank, ["1"] * rank)
+    )))
+    code, out, err = run(
+        capsys, "field-check", str(path), "--degree", "1", "--alpha", str(window)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --alpha %d needs %d grading degrees in a window, past the cap of %d\n"
+        % (window, count, MAX_COORDINATES)
+    )
+
+
+_SIMPLE_HOLDS = """degree: %d
+alpha_max: 4
+family: yes
+condition 1 (no invariant ideals): holds (exact)
+  every derivation coefficient is a nonzero rational
+condition 2 (parameter ideals): holds (exact)
+  each parameter is coprime to its own derivative
+condition 3 (centre is a field): holds (exact)
+  constant nonzero derivation coefficients force the derivation constants down to the rationals and kill every nonzero-degree component
+overall: holds
+"""
+
+_FIELD_HOLDS = """degree: %d
+alpha_max: 4
+centre is a field: holds (exact)
+  derivation constants reduce to the rationals and every p_i(a_i) is nonzero over a domain, so all nonzero-degree components vanish
+"""
+
+
+_ANSWERED_PAST_THE_CAP = [
+    ("simple p2n_20", _SIMPLE_HOLDS % 6),
+    ("simple p2n_30", _SIMPLE_HOLDS % 6),
+    ("simple p2n_80 --degree 3", _SIMPLE_HOLDS % 3),
+    ("simple p2n_3 --degree 24", _SIMPLE_HOLDS % 24),
+    ("field-check p2n_80 --degree 3", _FIELD_HOLDS % 3),
+    ("field-check p2n_80 --degree 4", _FIELD_HOLDS % 4),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    _ANSWERED_PAST_THE_CAP,
+    ids=[argv for argv, _ in _ANSWERED_PAST_THE_CAP],
+)
+def test_exact_shortcuts_answer_past_the_cap(capsys, monkeypatch, argv, expected):
+    # Each list these commands would build passes the cap, but an exact
+    # argument decides them without building any.
+    def refuse(*args):
+        raise AssertionError("a kernel or closure was built")
+
+    monkeypatch.setattr(gwpa.centre, "monomial_keys", refuse)
+    assert run(capsys, *argv.split()) == (0, expected, "")
 
 
 def test_base_variable_named_like_a_generator_is_rejected(capsys, tmp_path):
