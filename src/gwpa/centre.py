@@ -78,12 +78,12 @@ def coordinate_count(rank: int, nvars: int, degree: int) -> int:
     )
 
 
-def _check_size(count: int, what: str, option: str, bound: int) -> None:
+def _check_size(count: int, what: str, parameter: str, bound: int) -> None:
     """Refuse to build ``count`` coordinates past ``MAX_COORDINATES``."""
     if count > MAX_COORDINATES:
         raise GwpaError(
             "%s %d needs %d %s, past the cap of %d"
-            % (option, bound, count, what, MAX_COORDINATES)
+            % (parameter, bound, count, what, MAX_COORDINATES)
         )
 
 
@@ -103,7 +103,7 @@ def _kernel_polynomials(
         raise GwpaError("degree bound must be nonnegative")
     _check_size(
         coordinate_count(0, ring.nvars, degree),
-        "monomials in a centre kernel", "--degree", degree,
+        "monomials in a centre kernel", "degree", degree,
     )
     monos = monomial_keys(ring, degree)
     # Sparse rows keyed (operator, packed monomial), which sort in graded order.
@@ -124,20 +124,6 @@ def _kernel_polynomials(
     )
 
 
-def _drift(A: GWPAData, weights, f: Polynomial) -> Polynomial | None:
-    """E_weights(f) = sum_i weights_i p_i(f), or None when it vanishes."""
-    if f.is_constant:
-        return None
-    drift = None
-    for i, k in enumerate(weights):
-        if k:
-            image = A.partials[i](f)
-            if k != 1:
-                image = image * k
-            drift = image if drift is None else drift + image
-    return None if drift is None or drift.is_zero else drift
-
-
 def constants_basis(A: GWPAData, degree: int) -> CentreComponent:
     """Joint kernel of the defining derivations, truncated at ``degree``."""
     operators = [der for der in A.partials]
@@ -149,14 +135,15 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
     """Coefficients lambda of central elements lambda v_alpha, up to degree.
 
     The conditions, each linear in lambda, are: lambda is killed by every
-    defining derivation; {lambda, g} = lambda * sum_i alpha_i p_i(g) for
-    every base generator g; and lambda * alpha_i * p_i(a_i) = 0 for every i.
-    The base rings here are commutative, so this is also the absolute centre.
-    Zero derivations, and on a zero-bracket base generators with zero
-    drift, give no condition and are dropped.  When a condition is
-    multiplication by a nonzero polynomial (a nonzero alpha_i p_i(a_i), or
-    a nonzero drift on a zero-bracket base) the slice is zero without
-    elimination, since the base ring is a domain.
+    defining derivation; H_j(lambda) = lambda * drift_j for the Hamiltonian
+    H_j = {-, x_j} of each base variable, with drift_j = sum_i alpha_i
+    p_i(x_j); and lambda * alpha_i * p_i(a_i) = 0 for every i.  The base
+    rings here are commutative, so this is also the absolute centre.  Zero
+    derivations, and zero Hamiltonians with zero drift, give no condition
+    and are dropped.  When a condition is multiplication by a nonzero
+    polynomial (a nonzero alpha_i p_i(a_i), or a nonzero drift_j with x_j
+    central, so H_j = 0) the slice is zero without elimination, since the
+    base ring is a domain; no kernel is built or counted.
     """
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != A.rank:
@@ -170,14 +157,13 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
     operators: list[Callable[[Polynomial], Polynomial]] = [
         der for der in A.partials if not der.is_zero
     ]
-    for g in ring.gens():
-        drift = _drift(A, alpha, g)
-        if not A.base.is_trivial:
-            drift = drift or ring.zero()
+    for j, field in enumerate(A.base.hamiltonians):
+        drift = sum((d.images[j] * k for k, d in zip(alpha, A.partials) if k), ring.zero())
+        if not field.is_zero:
             operators.append(
-                lambda lam, g=g, drift=drift: A.base.bracket(lam, g) - lam * drift
+                lambda lam, field=field, drift=drift: field(lam) - lam * drift
             )
-        elif drift is not None:
+        elif not drift.is_zero:
             return zero_slice
     basis = _kernel_polynomials(ring, degree, operators)
     return CentreComponent(alpha, basis, degree)
@@ -252,7 +238,7 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
     if not graded_exact:
         _check_size(
             coordinate_count(A.rank, 0, alpha_max) - 1,
-            "grading degrees in a window", "--alpha", alpha_max,
+            "grading degrees in a window", "alpha_max", alpha_max,
         )
         for alpha in nonzero_alphas(A.rank, alpha_max):
             comp = centre_component(A, alpha, degree)
@@ -367,7 +353,7 @@ def poisson_ideal_closure(
         raise GwpaError("closure bound must be nonnegative")
     _check_size(
         coordinate_count(A.rank, A.base_ring.nvars, degree),
-        "coordinates in a closure", "--degree", degree,
+        "coordinates in a closure", "degree", degree,
     )
     coords, index = _closure_coordinates(A, degree)
     tracker = Echelon()

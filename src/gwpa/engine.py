@@ -343,6 +343,8 @@ class GWPAData(GradedAlgebra):
     element_type = GWPAElement
 
     def __post_init__(self):
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "partials", tuple(self.partials))
         if len(self.a) != len(self.partials) or not self.a:
             raise GwpaError("need equally many parameters and derivations, at least one")
         self._check_base_names(self.base.ring)
@@ -358,7 +360,7 @@ class GWPAData(GradedAlgebra):
     @classmethod
     def checked(cls, base, a, partials) -> "GWPAData":
         """Build and validate, raising :class:`ValidationFailure` on bad data."""
-        data = cls(base, tuple(a), tuple(partials))
+        data = cls(base, a, partials)
         report = validate_gwpa(data)
         if not report.ok:
             raise ValidationFailure(report)

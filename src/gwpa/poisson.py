@@ -5,13 +5,13 @@ bracket matrix on its generators.  The bracket extends to arbitrary
 polynomials as a biderivation.  Because the Jacobiator of an antisymmetric
 biderivation is a derivation in each argument, checking the Jacobi identity
 on generator triples decides it globally; construction fails fast when the
-check fails.
+check fails.  The Hamiltonian derivations {-, x_k} are the matrix columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Mapping, Sequence
 
 from .errors import BracketMatrixError, GwpaError, JacobiViolationError
@@ -113,6 +113,7 @@ class BasePoissonAlgebra:
 
     The constructor rejects matrices that are not antisymmetric or fail the
     Jacobi identity, so every live instance is a genuine Poisson algebra.
+    ``hamiltonians`` is cached on first use, outside ``==`` and hashing.
     """
 
     ring: PolyRing
@@ -135,6 +136,11 @@ class BasePoissonAlgebra:
     @property
     def is_trivial(self) -> bool:
         return not self._entries
+
+    @cached_property
+    def hamiltonians(self) -> tuple[BaseDerivation, ...]:
+        """{-, x_k} for each k: it sends x_j to {x_j, x_k}, matrix column k."""
+        return tuple(BaseDerivation(self.ring, col) for col in zip(*self.matrix))
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Poisson bracket of two polynomials."""
@@ -247,19 +253,18 @@ def is_poisson_derivation(D: BasePoissonAlgebra, der: BaseDerivation) -> bool:
     """Whether the derivation respects the bracket.
 
     The defect d{a,b} - {da,b} - {a,db} is a biderivation in (a, b), so
-    vanishing on generator pairs decides the property.
+    vanishing on generator pairs decides the property.  There the brackets
+    are Hamiltonian images: {d x_j, x_k} = H_k(d x_j), {x_j, d x_k} = -H_j(d x_k).
     """
     if der.ring != D.ring:
         raise GwpaError("derivation and Poisson algebra live over different rings")
     if D.is_trivial:  # every term of the defect is a bracket
         return True
-    gens = D.ring.gens()
+    H, images = D.hamiltonians, der.images
     n = D.ring.nvars
     for j in range(n):
         for k in range(j + 1, n):
-            lhs = der(D.matrix[j][k])
-            rhs = D.bracket(der.images[j], gens[k]) + D.bracket(gens[j], der.images[k])
-            if lhs != rhs:
+            if der(D.matrix[j][k]) != H[k](images[j]) - H[j](images[k]):
                 return False
     return True
 

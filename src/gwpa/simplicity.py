@@ -74,10 +74,10 @@ def _in_univariate_family(A: GWPAData) -> bool:
 
 def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
     """Deterministic candidate generators of invariant principal ideals:
-    untouched central variables first, then derivation images, parameters
-    and their derivatives.  Constants are never candidates."""
-    ring = A.base_ring
-    gens = ring.gens()
+    variables that every derivation of the family kills first, then
+    derivation images, parameters and their derivatives.  Constants are
+    never candidates."""
+    family = A.partials + A.base.hamiltonians
     candidates: list[Polynomial] = []
 
     def push(poly: Polynomial):
@@ -86,10 +86,8 @@ def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
         if all(poly != seen for seen in candidates):
             candidates.append(poly)
 
-    for j, g in enumerate(gens):
-        if all(der.images[j].is_zero for der in A.partials) and all(
-            A.base.bracket(g, h).is_zero for h in gens
-        ):
+    for j, g in enumerate(A.base_ring.gens()):
+        if all(der.images[j].is_zero for der in family):
             push(g)
     for der in A.partials:
         for img in der.images:
@@ -103,15 +101,9 @@ def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
 
 def _generates_invariant_ideal(A: GWPAData, c: Polynomial) -> bool:
     """Whether the principal ideal (c) is a Poisson ideal stable under all
-    defining derivations.  For a principal ideal both closure properties
-    reduce to divisibility of the generator images."""
-    for der in A.partials:
-        if not divides(c, der(c)):
-            return False
-    for g in A.base_ring.gens():
-        if not divides(c, A.base.bracket(c, g)):
-            return False
-    return True
+    defining derivations: one stable under the family ``A.partials +
+    A.base.hamiltonians``, so c divides its image under each member."""
+    return all(divides(c, f(c)) for f in A.partials + A.base.hamiltonians)
 
 
 def _general_condition1(A: GWPAData, degree: int) -> CriterionVerdict:

@@ -17,9 +17,11 @@ from gwpa.centre import (
     nonzero_alphas,
     poisson_ideal_closure,
 )
+from gwpa.engine import GWPAData
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
+from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing, monomial_keys
 
 from oracles import dense_centre_kernel
@@ -108,11 +110,23 @@ def _zero_bracket_families(draw):
     return univariate_family([own(i) for i in range(rank)], [own(i) for i in range(rank)])
 
 
+def _heisenberg_based():
+    """Rank-1 algebra over {x, y} = z with z central, a = 1 and the weight
+    derivation p = x d/dx + y d/dy + 2z d/dz: H_z is zero while the drift
+    alpha * 2z is not, so every slice alpha != 0 is zero per generator."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    base = BasePoissonAlgebra(ring, [[zero, z, zero], [-z, zero, zero], [zero] * 3])
+    weight = BaseDerivation.from_images(ring, {"x": x, "y": y, "z": 2 * z})
+    return GWPAData.checked(base, (ring.one(),), (weight,))
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(st.just(so3_based()), _zero_bracket_families()))
+@given(st.one_of(st.just(so3_based()), st.just(_heisenberg_based()), _zero_bracket_families()))
 def test_centre_component_matches_dense_kernel(A):
-    # so(3) has a nonzero bracket; univariate data a zero one, so every
-    # shortcut of the sparse kernel meets the dense reference.
+    # so(3) and Heisenberg have a nonzero bracket; univariate data a zero
+    # one, so every shortcut of the sparse kernel meets the dense reference.
     for alpha in [(0,) * A.rank] + nonzero_alphas(A.rank, 3):
         for degree in range(5):
             assert centre_component(A, alpha, degree).basis == dense_centre_kernel(

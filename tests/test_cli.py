@@ -273,7 +273,7 @@ def test_oversized_kernels_and_closures_exit_before_any_work(
     degree = int(argv.split("--degree ")[1].split()[0]) if "--degree" in argv else 6
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (1, "")
-    assert err == "error: --degree %d needs %d %s, past the cap of %d\n" % (
+    assert err == "error: degree %d needs %d %s, past the cap of %d\n" % (
         degree, count, what, MAX_COORDINATES
     )
 
@@ -298,7 +298,7 @@ def test_oversized_windows_exit_before_any_slice(
     )
     assert (code, out) == (1, "")
     assert err == (
-        "error: --alpha %d needs %d grading degrees in a window, past the cap of %d\n"
+        "error: alpha_max %d needs %d grading degrees in a window, past the cap of %d\n"
         % (window, count, MAX_COORDINATES)
     )
 
@@ -345,6 +345,151 @@ def test_exact_shortcuts_answer_past_the_cap(capsys, monkeypatch, argv, expected
 
     monkeypatch.setattr(gwpa.centre, "monomial_keys", refuse)
     assert run(capsys, *argv.split()) == (0, expected, "")
+
+
+# Nontrivial-bracket algebras that no benchmark item reaches: so(3) with
+# the Casimir as parameter, and the symplectic plane with p = d/dH.  The
+# expected bytes predate the base's Hamiltonian derivations, which the
+# centre slices, condition 1 and the Poisson-derivation test now read.
+_NONTRIVIAL_PINS = {
+    "simple tests/specs/so3_1.json": """\
+degree: 6
+alpha_max: 4
+family: no
+condition 1 (no invariant ideals): fails (exact)
+  witness: x^2 + y^2 + z^2
+  x^2 + y^2 + z^2 generates a proper Poisson ideal of the base ring stable under every defining derivation
+condition 2 (parameter ideals): fails (exact)
+  a_1 and p_1(a_1) both vanish at the point (0, 0, 0), so the ideal they generate is proper
+condition 3 (centre is a field): fails (exact)
+  witness: x^2 + y^2 + z^2
+  the central derivation constant x^2 + y^2 + z^2 is a nonconstant polynomial, hence not invertible
+overall: fails
+""",
+    "simple tests/specs/so3_1.json --format json": """\
+{
+  "alpha_max": 4,
+  "command": "simple",
+  "condition1": {
+    "detail": "x^2 + y^2 + z^2 generates a proper Poisson ideal of the base ring stable under every defining derivation",
+    "exact": true,
+    "status": "fails",
+    "witness": "x^2 + y^2 + z^2"
+  },
+  "condition2": {
+    "detail": "a_1 and p_1(a_1) both vanish at the point (0, 0, 0), so the ideal they generate is proper",
+    "exact": true,
+    "status": "fails",
+    "witness": null
+  },
+  "condition3": {
+    "detail": "the central derivation constant x^2 + y^2 + z^2 is a nonconstant polynomial, hence not invertible",
+    "exact": true,
+    "status": "fails",
+    "witness": "x^2 + y^2 + z^2"
+  },
+  "degree": 6,
+  "family": false,
+  "overall": "fails"
+}
+""",
+    "centre tests/specs/so3_1.json --alpha 0": """\
+alpha: (0)
+degree: 6
+dimension: 4
+basis:
+  1
+  x^2 + y^2 + z^2
+  x^4 + 2*x^2*y^2 + 2*x^2*z^2 + y^4 + 2*y^2*z^2 + z^4
+  x^6 + 3*x^4*y^2 + 3*x^4*z^2 + 3*x^2*y^4 + 6*x^2*y^2*z^2 + 3*x^2*z^4 + y^6 + 3*y^4*z^2 + 3*y^2*z^4 + z^6
+""",
+    "centre tests/specs/so3_1.json --alpha 1": """\
+alpha: (1)
+degree: 6
+dimension: 0
+basis:
+  (empty)
+""",
+    "field-check tests/specs/so3_1.json": """\
+degree: 6
+alpha_max: 4
+centre is a field: fails (exact)
+  witness: x^2 + y^2 + z^2
+  the central derivation constant x^2 + y^2 + z^2 is a nonconstant polynomial, hence not invertible
+""",
+    "simple tests/specs/symplectic_1.json": """\
+degree: 6
+alpha_max: 4
+family: no
+condition 1 (no invariant ideals): undecided (bounded)
+  no invariant principal ideal among 0 candidates; no candidate closure reaches a unit at weight 6; a full search over invariant ideals is out of scope
+condition 2 (parameter ideals): holds (exact)
+  each parameter is coprime to its own derivative
+condition 3 (centre is a field): undecided (bounded)
+  no witness below the bounds; positive evidence is truncated (constants checked to degree 6, graded components for |alpha| <= 4)
+overall: undecided
+""",
+    "simple tests/specs/symplectic_1.json --format json": """\
+{
+  "alpha_max": 4,
+  "command": "simple",
+  "condition1": {
+    "detail": "no invariant principal ideal among 0 candidates; no candidate closure reaches a unit at weight 6; a full search over invariant ideals is out of scope",
+    "exact": false,
+    "status": "undecided",
+    "truncation": {
+      "degree": 6
+    },
+    "witness": null
+  },
+  "condition2": {
+    "detail": "each parameter is coprime to its own derivative",
+    "exact": true,
+    "status": "holds",
+    "witness": null
+  },
+  "condition3": {
+    "detail": "no witness below the bounds; positive evidence is truncated (constants checked to degree 6, graded components for |alpha| <= 4)",
+    "exact": false,
+    "status": "undecided",
+    "truncation": {
+      "alpha_max": 4,
+      "degree": 6
+    },
+    "witness": null
+  },
+  "degree": 6,
+  "family": false,
+  "overall": "undecided"
+}
+""",
+    "centre tests/specs/symplectic_1.json --alpha 0": """\
+alpha: (0)
+degree: 6
+dimension: 1
+basis:
+  1
+""",
+    "centre tests/specs/symplectic_1.json --alpha 1": """\
+alpha: (1)
+degree: 6
+dimension: 0
+basis:
+  (empty)
+""",
+    "field-check tests/specs/symplectic_1.json": """\
+degree: 6
+alpha_max: 4
+centre is a field: undecided (bounded)
+  no witness below the bounds; positive evidence is truncated (constants checked to degree 6, graded components for |alpha| <= 4)
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_NONTRIVIAL_PINS))
+def test_nontrivial_bracket_outputs_are_pinned(capsys, command):
+    argv = [str(ROOT / arg) if arg.startswith("tests/") else arg for arg in command.split()]
+    assert run(capsys, *argv) == (0, _NONTRIVIAL_PINS[command], "")
 
 
 def test_base_variable_named_like_a_generator_is_rejected(capsys, tmp_path):

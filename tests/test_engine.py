@@ -411,11 +411,11 @@ def test_tensor_square_renames_a_nontrivial_bracket_block():
     A = result.algebra
     assert A == GWPAData(
         base,
-        (x ** 2 + y ** 2 + z ** 2, x2 ** 2 + y2 ** 2 + z2 ** 2),
-        (
+        [x ** 2 + y ** 2 + z ** 2, x2 ** 2 + y2 ** 2 + z2 ** 2],  # lists become tuples
+        [
             BaseDerivation(ring, (y, -x, zero, zero, zero, zero)),
             BaseDerivation(ring, (zero, zero, zero, y2, -x2, zero)),
-        ),
+        ],
     )
     assert A.scalar(x2).bracket(A.scalar(y2)) == A.scalar(z2)
     assert A.scalar(x).bracket(A.scalar(y2)).is_zero

@@ -143,6 +143,8 @@ def test_bracket_axioms_randomized():
             + algebra.bracket(h, algebra.bracket(f, g))
         )
         assert jacobiator.is_zero
+        for field, x in zip(algebra.hamiltonians, ring.gens()):
+            assert field(f) == algebra.bracket(f, x)
 
 
 def test_derivation_call_and_chain_rule():
@@ -218,6 +220,7 @@ def test_base_algebra_is_frozen_and_compares_by_value():
     listed = so3()
     tupled = BasePoissonAlgebra(listed.ring, tuple(map(tuple, listed.matrix)))
     assert isinstance(listed.matrix, tuple)
+    assert len(listed.hamiltonians) == 3  # the cache takes no part in == or hash
     assert listed == tupled and hash(listed) == hash(tupled)
     assert listed != BasePoissonAlgebra.trivial(listed.ring)
 
