@@ -13,8 +13,10 @@ for d in D, all brackets between generators of different index vanishing.
 Elements are kept in graded normal form at all times.  The bracket of two
 elements is the bilinear sum of a closed form for each pair of basis terms,
 computed by one kernel (:func:`_bracket_pairs`): the derivation images of
-each operand term are taken once and kept on the element, and each pair's
-base part is one accumulation (:func:`gwpa.poly._combination`).
+each operand term are taken once and kept on the element, each pair's
+base part is one accumulation (:func:`gwpa.poly._combination`), and the
+overlap product P and its correction Q, which depend only on where the two
+terms meet in opposite signs, are kept on the algebra per overlap pattern.
 
 The graded normal form is shared with the generalized Weyl algebras of
 :mod:`gwpa.quant`, whose associated graded objects are these Poisson
@@ -356,6 +358,7 @@ class GWPAData(GradedAlgebra):
                 raise GwpaError("derivation lives over a different ring")
         object.__setattr__(self, "_a_powers", {})
         object.__setattr__(self, "_p_of_a", {})
+        object.__setattr__(self, "_overlaps", {})
 
     @classmethod
     def checked(cls, base, a, partials) -> "GWPAData":
@@ -384,6 +387,29 @@ class GWPAData(GradedAlgebra):
         if i not in cache:
             cache[i] = self.partials[i](self.a[i])
         return cache[i]
+
+    def overlap_factors(self, overlaps) -> tuple[Polynomial, Polynomial]:
+        """The base factors of a term pair that meets opposite signs, cached
+        per overlap pattern, a tuple of (i, m_i, w_i) with m_i the overlap
+        in coordinate i and w_i = |alpha_i| beta_i: the product
+        P = prod a_i^{m_i} and the correction
+        Q = sum w_i p_i(a_i) a_i^{m_i - 1} prod_{j != i} a_j^{m_j}."""
+        value = self._overlaps.get(overlaps)
+        if value is None:
+            product, correction = None, self.base_ring.zero()
+            for i, m, weight in overlaps:
+                power = self.a_power(i, m)
+                product = power if product is None else product * power
+                piece = self.p_of_a(i) * weight
+                if piece.is_zero:
+                    continue
+                piece = piece * self.a_power(i, m - 1)
+                for j, mj, _ in overlaps:
+                    if j != i:
+                        piece = piece * self.a_power(j, mj)
+                correction = correction + piece if correction._terms else piece
+            value = self._overlaps[overlaps] = (product, correction)
+        return value
 
     def apply_sigma_alpha(self, alpha, poly: Polynomial) -> Polynomial:
         """Coefficients commute with v_alpha: the twist is the identity."""
@@ -523,17 +549,20 @@ def _bracket_pairs(A: GWPAData, u: GWPAElement, v: GWPAElement) -> dict:
     pairs of the closed form of {d v_alpha, e v_beta}.
 
     Both slots are derivations over the factor decomposition, which collapses
-    to base-ring data: with P the product of overlap powers a_j^{m_j},
+    to base-ring data: with P the product of overlap powers a_j^{m_j} and
 
-        ({d, e} - d.E_alpha(e) + e.E_beta(d)) P
-            + d e sum over opposite-sign coordinates of |alpha_i| beta_i
-              p_i(a_i) P / a_i
+        Q = sum over opposite-sign coordinates of |alpha_i| beta_i p_i(a_i) P / a_i,
+
+    the pair contributes
+
+        ({d, e} - d.E_alpha(e) + e.E_beta(d)) P + d e Q
 
     carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.  Each image
     p_i(d) is taken once per operand term, when a partner term first has a
     nonzero i-th coordinate, and kept (:func:`_image_rows`).  The first
     bracket is one :func:`_combination` of {d, e} and the terms of d and e
-    times those images.
+    times those images.  P and Q depend only on the overlap pattern, so the
+    algebra keeps them (:meth:`GWPAData.overlap_factors`).
     """
     ring, partials = A.base_ring, A.partials
     zero = ring.zero()
@@ -565,22 +594,10 @@ def _bracket_pairs(A: GWPAData, u: GWPAElement, v: GWPAElement) -> dict:
                         overlaps.append((i, min(abs(p), abs(q)), abs(p) * q))
             total = _combination(ring, parts, d_den * e_den) if parts else zero
             if overlaps:
-                overlap = None
-                for i, m, _ in overlaps:
-                    power = A.a_power(i, m)
-                    overlap = power if overlap is None else overlap * power
-                total = total * overlap
-                de = None
-                for i, m, weight in overlaps:
-                    scale = A.p_of_a(i) * weight
-                    if scale.is_zero:
-                        continue
-                    de = d * e if de is None else de
-                    piece = de * scale * A.a_power(i, m - 1)
-                    for j, mj, _ in overlaps:
-                        if j != i:
-                            piece = piece * A.a_power(j, mj)
-                    total = total + piece
+                product, correction = A.overlap_factors(tuple(overlaps))
+                total = total * product
+                if correction._terms:
+                    total = total + d * e * correction
             _accumulate(out, tuple(map(add, alpha, beta)), total)
     return out
 

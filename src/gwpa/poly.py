@@ -67,7 +67,7 @@ class PolyRing:
     degree and ``ring.units[i]`` is the key of the i-th variable.
     """
 
-    __slots__ = ("variables", "_index", "top", "units", "_shifts")
+    __slots__ = ("variables", "_index", "top", "units", "_shifts", "_weighers")
 
     def __init__(self, variables: Sequence[str] = ()):
         variables = tuple(variables)
@@ -83,6 +83,24 @@ class PolyRing:
         self.top = FIELD_BITS * len(variables)
         self._shifts = tuple(range(self.top - FIELD_BITS, -1, -FIELD_BITS))
         self.units = tuple((1 << self.top) | (1 << s) for s in self._shifts)
+        self._weighers: dict = {}  # weight tuple -> (weigher, uniform)
+
+    def _weigher(self, weights: Sequence[int]):
+        """The weighted degree of a packed key, as a function, and whether
+        the weights are uniform (then it reads the total degree field, and
+        the largest key has the largest weight); kept per weight tuple."""
+        weights = tuple(weights)
+        entry = self._weighers.get(weights)
+        if entry is None:
+            uniform = len(set(weights)) == 1
+            if uniform:
+                top, w = self.top, weights[0]
+                weigh = lambda key: w * (key >> top)
+            else:
+                pairs = tuple(zip(weights, self._shifts))
+                weigh = lambda key: sum(w * ((key >> s) & _MASK) for w, s in pairs)
+            entry = self._weighers[weights] = (weigh, uniform)
+        return entry
 
     @property
     def nvars(self) -> int:
@@ -194,27 +212,18 @@ class Polynomial:
             return NEG_INF
         return max(self._terms) >> self.ring.top
 
-    def _weigher(self, weights: Sequence[int]):
-        """The weighted degree of a packed key, as a function; with uniform
-        weights it reads the total degree field."""
-        if len(set(weights)) == 1:
-            top, w = self.ring.top, weights[0]
-            return lambda key: w * (key >> top)
-        pairs = tuple(zip(weights, self.ring._shifts))
-        return lambda key: sum(w * ((key >> s) & _MASK) for w, s in pairs)
-
     def weighted_degree(self, weights: Sequence[int]):
         """Largest weighted degree of a monomial, NEG_INF for zero."""
         if not self._terms:
             return NEG_INF
-        weigh = self._weigher(weights)
-        if len(set(weights)) == 1:  # the graded maximum has the top degree
+        weigh, uniform = self.ring._weigher(weights)
+        if uniform:  # the graded maximum has the top degree
             return weigh(max(self._terms))
         return max(map(weigh, self._terms))
 
     def weighted_component(self, weights: Sequence[int], degree) -> "Polynomial":
         """The weighted-homogeneous slice of the given degree."""
-        weigh = self._weigher(weights)
+        weigh = self.ring._weigher(weights)[0]
         picked = {k: c for k, c in self._terms.items() if weigh(k) == degree}
         if len(picked) == len(self._terms):
             return self

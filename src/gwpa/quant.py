@@ -133,6 +133,15 @@ class AffineSubstitution:
         return "AffineSubstitution(%s)" % parts
 
 
+def _twice(degree) -> int | None:
+    """Twice a filtration degree as an int; None unless the degree is a
+    half-integer (NEG_INF is not), since then no term has it."""
+    if isinstance(degree, Fraction):
+        return 2 // degree.denominator * degree.numerator if degree.denominator <= 2 else None
+    twice = 2 * degree
+    return int(twice) if twice % 1 == 0 else None
+
+
 class GWAElement(GradedElement):
     """An element with polynomial coefficients written to the left of v."""
 
@@ -168,10 +177,12 @@ class GWAElement(GradedElement):
     def homogeneous_part(self, target) -> "GWAElement":
         """The slice of exact filtration degree ``target``."""
         A = self.algebra
-        twice = 2 * target
         out = {}
+        twice = _twice(target)
+        if twice is None:
+            return self._new(out)
         for alpha, poly in self._terms.items():
-            rest = twice - sum(d * abs(k) for d, k in zip(A.degrees, alpha))
+            rest = twice - A.alpha_weight(alpha)
             if rest < 0 or rest % 2:
                 continue
             piece = poly.weighted_component(A.weights, rest // 2)
@@ -259,6 +270,7 @@ class GWAData(GradedAlgebra):
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_alpha_maps", {})
         object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_alpha_weights", {})
         object.__setattr__(self, "_predicted", None)
 
     @property
@@ -343,10 +355,17 @@ class GWAData(GradedAlgebra):
         gens.extend(self.Y(i) for i in range(1, self.rank + 1))
         return gens
 
+    def alpha_weight(self, alpha) -> int:
+        """Twice the filtration degree of v_alpha: sum d_i |alpha_i|."""
+        weight = self._alpha_weights.get(alpha)
+        if weight is None:
+            weight = sum(d * abs(k) for d, k in zip(self.degrees, alpha))
+            self._alpha_weights[alpha] = weight
+        return weight
+
     def twice_term_degree(self, alpha, poly: Polynomial) -> int:
         """Twice the filtration degree of the nonzero term poly v_alpha."""
-        weight = sum(d * abs(k) for d, k in zip(self.degrees, alpha))
-        return 2 * poly.weighted_degree(self.weights) + weight
+        return 2 * poly.weighted_degree(self.weights) + self.alpha_weight(alpha)
 
 
 # -- graded correspondence ---------------------------------------------------

@@ -26,7 +26,7 @@ from gwpa.errors import (
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
 from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
-from gwpa.poly import PolyRing
+from gwpa.poly import Polynomial, PolyRing
 from gwpa.quant import AffineSubstitution, GWAData, weyl_gwa
 
 from oracles import bracket_oracle_graded, bracket_split
@@ -208,6 +208,74 @@ def test_bracket_applies_each_derivation_once_per_term(make, monkeypatch):
     assert calls and max(calls.values()) == 1
     for g, (ug, gu) in zip(gens, results):
         assert ug == bracket_split(u, g) == -gu
+
+
+@pytest.mark.parametrize("make", [lambda: p2n(2), lambda: gr_heisenberg(2)], ids=["p2n_2", "gr_heisenberg_2"])
+def test_overlap_in_both_coordinates_matches_the_leibniz_oracle(make):
+    # X1^2*X2 meets Y1*Y2^3 in both coordinates at once, and both p_i(a_i)
+    # are nonzero, so Q has two pieces.
+    A = make()
+    H1, H2 = A.base_ring.var("H1"), A.base_ring.var("H2")
+    scale = A.p_of_a(0)
+    assert not scale.is_zero and A.p_of_a(1) == scale
+    u = parse_element("(H1+1)*X1^2*X2", A)
+    v = parse_element("(H2^2-1/2)*Y1*Y2^3", A)
+    assert u.bracket(v) == bracket_split(u, v)
+    assert v.bracket(u) == bracket_split(v, u)
+    # weights |alpha_i| beta_i: 2*(-1) and 1*(-3), then 1*2 and 3*1
+    assert A.overlap_factors(((0, 1, -2), (1, 1, -3))) == (H1 * H2, scale * (-2 * H2 - 3 * H1))
+    assert A.overlap_factors(((0, 1, 2), (1, 1, 3))) == (H1 * H2, scale * (2 * H2 + 3 * H1))
+    assert set(A._overlaps) == {((0, 1, -2), (1, 1, -3)), ((0, 1, 2), (1, 1, 3))}
+
+
+def test_overlap_with_a_killed_parameter_adds_no_correction(monkeypatch):
+    # a = 1 and p = d/dH1, so p(a) = 0: Q is zero and the pair kernel runs
+    # no "+"; on p2n_1 the same pair runs exactly one.
+    killed, plain = univariate_family(["1"], ["1"]), p2n(1)
+    additions = Counter()
+    original = Polynomial.__add__
+
+    def counted(f, g):
+        additions[current] += 1
+        return original(f, g)
+
+    for current in ("killed", "plain"):
+        A = killed if current == "killed" else plain
+        u = parse_element("(H1+2)*X1^2", A)
+        v = parse_element("(H1^2+1)*Y1", A)
+        expected = bracket_split(u, v)
+        assert u.bracket(v) == expected  # fills the images and the factors
+        monkeypatch.setattr(Polynomial, "__add__", counted)
+        assert u.bracket(v) == expected
+        monkeypatch.undo()
+    assert killed.overlap_factors(((0, 1, -2),)) == (killed.base_ring.one(), killed.base_ring.zero())
+    assert additions == Counter(plain=1)
+
+
+def test_overlap_factors_are_read_back_for_other_coefficients(monkeypatch):
+    A = p2n(2)
+    fresh = p2n(2)
+    pattern = ((0, 1, -2), (1, 1, -3))
+    v = parse_element("(H2^2-1/2)*Y1*Y2^3", A)
+    first = parse_element("(H1+1)*X1^2*X2", A)
+    assert first.bracket(v) == bracket_split(first, v)
+    factors = A._overlaps[pattern]
+    powers = Counter()
+    original = GWPAData.a_power
+
+    def counted(data, i, m):
+        powers[i, m] += 1
+        return original(data, i, m)
+
+    others = [parse_element(text, A) for text in ("(3*H2^2-1/2)*X1^2*X2", "-2/3*H1*H2*X1^2*X2")]
+    expected = [bracket_split(u, v) for u in others]
+    monkeypatch.setattr(GWPAData, "a_power", counted)
+    results = [u.bracket(v) for u in others]
+    monkeypatch.undo()
+    assert results == expected
+    assert not powers
+    assert A._overlaps[pattern] is factors and len(A._overlaps) == 1
+    assert A == fresh and hash(A) == hash(fresh)
 
 
 def test_brackets_past_the_degree_limit_name_the_degree():

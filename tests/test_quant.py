@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from gwpa.errors import AlgebraMismatchError, GwpaError
 from gwpa.gallery import gr_usl2, p2n
-from gwpa.poly import Polynomial, PolyRing
+from gwpa.poisson import BaseDerivation
+from gwpa.poly import NEG_INF, Polynomial, PolyRing
 from gwpa.quant import (
     AffineSubstitution,
     GWAData,
+    GWAElement,
     gr_correspondence_check,
     predicted_gwpa,
     usl2_gwa,
@@ -293,6 +296,34 @@ def test_homogeneous_slices():
     assert B.zero().leading_part().is_zero
 
 
+@pytest.mark.parametrize("build", [lambda: weyl_gwa(2), usl2_gwa], ids=["weyl_2", "usl2"])
+def test_slices_at_every_half_integer_add_up_to_the_element(build):
+    """Slices are read in twice-degrees: each half-integer target, given as
+    an int, a Fraction or a float, picks the terms of that degree, the
+    slices add up to the element, and a target that is not a half-integer
+    (or NEG_INF) gives zero."""
+    A = build()
+    rng = random.Random(503)
+    for _ in range(15):
+        u = nonzero_element(A, rng, bound=3)
+        total = A.zero()
+        for twice in range(int(2 * u.degree) + 1):
+            target = Fraction(twice, 2)
+            piece = u.homogeneous_part(target)
+            assert piece == u.homogeneous_part(twice / 2)
+            if target.denominator == 1:
+                assert piece == u.homogeneous_part(twice // 2)
+            assert piece.is_zero or piece.degree == target
+            assert all(
+                A.twice_term_degree(alpha, poly) == twice for alpha, poly in piece.terms().items()
+            )
+            total = total + piece
+        assert total == u
+        assert u.homogeneous_part(Fraction(1, 3)).is_zero
+        assert u.homogeneous_part(0.25).is_zero
+        assert u.homogeneous_part(NEG_INF).is_zero
+
+
 def test_predicted_poisson_structures():
     assert predicted_gwpa(weyl_gwa(1)) == p2n(1)
     assert predicted_gwpa(weyl_gwa(2)) == p2n(2)
@@ -365,6 +396,60 @@ def test_correspondence_report_does_not_depend_on_element_identity(build):
     alone = [_rendered(gr_correspondence_check(build(), [pair])) for pair in shared]
     assert texts[0].split("\n")[1:] == [text.split("\n")[1] for text in alone]
     assert texts[0].startswith("all_match=True")
+
+
+def test_repeated_checks_of_the_same_elements_match_fresh_copies():
+    """The same element objects checked again, in one algebra or in two
+    equal but distinct ones in turn, give the report of fresh copies, and
+    checking them changes neither == nor hash."""
+    rng = random.Random(307)
+    first, second = weyl_gwa(2), weyl_gwa(2)
+    usl2 = usl2_gwa()
+    for A, rounds in ((first, [first, second, first, second]), (usl2, [usl2, usl2, usl2])):
+        elements = [nonzero_element(A, rng, bound=3) for _ in range(5)]
+        copies = [A.element(u.terms()) for u in elements]
+        hashes = [hash(u) for u in elements]
+        plan = [(rng.randrange(5), rng.randrange(5)) for _ in range(12)]
+        pairs = [(elements[i], elements[j]) for i, j in plan]
+        for B in rounds:
+            fresh = [(B.element(elements[i].terms()), B.element(elements[j].terms())) for i, j in plan]
+            expected = _rendered(gr_correspondence_check(B, fresh))
+            assert _rendered(gr_correspondence_check(B, pairs)) == expected
+        assert elements == copies
+        assert [hash(u) for u in elements] == hashes == [hash(u) for u in copies]
+
+
+@pytest.mark.parametrize("build", [lambda: weyl_gwa(2), usl2_gwa], ids=["weyl_2", "usl2"])
+def test_check_slices_each_element_object_once_per_call(build, monkeypatch):
+    """One check slices each distinct element object once (its leading
+    part) and each pair's commutator once; nothing outlives the call, so a
+    second check of the same pairs makes the same slices and derivation
+    calls again."""
+    A = build()
+    rng = random.Random(401)
+    elements = [nonzero_element(A, rng, bound=3) for _ in range(5)]
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(10)]
+    distinct = len({id(u) for pair in pairs for u in pair})
+    expected = _rendered(gr_correspondence_check(A, pairs))
+    slice_of, apply = GWAElement.homogeneous_part, BaseDerivation.__call__
+    rounds = []
+
+    def counted_slice(u, target):
+        rounds[-1]["homogeneous_part"] += 1
+        return slice_of(u, target)
+
+    def counted_apply(der, f):
+        rounds[-1]["derivation"] += 1
+        return apply(der, f)
+
+    monkeypatch.setattr(GWAElement, "homogeneous_part", counted_slice)
+    monkeypatch.setattr(BaseDerivation, "__call__", counted_apply)
+    for _ in range(2):
+        rounds.append(Counter())
+        assert _rendered(gr_correspondence_check(A, pairs)) == expected
+    monkeypatch.undo()
+    assert rounds[0]["homogeneous_part"] == distinct + len(pairs)
+    assert rounds[0] == rounds[1]
 
 
 def test_predicted_algebra_is_built_once_per_algebra():
