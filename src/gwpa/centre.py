@@ -137,8 +137,7 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
     The conditions, each linear in lambda, are: lambda is killed by every
     defining derivation; H_j(lambda) = lambda * drift_j for the Hamiltonian
     H_j = {-, x_j} of each base variable, with drift_j = sum_i alpha_i
-    p_i(x_j); and lambda * alpha_i * p_i(a_i) = 0 for every i.  The base
-    rings here are commutative, so this is also the absolute centre.  Zero
+    p_i(x_j); and lambda * alpha_i * p_i(a_i) = 0 for every i.  Zero
     derivations, and zero Hamiltonians with zero drift, give no condition
     and are dropped.  When a condition is multiplication by a nonzero
     polynomial (a nonzero alpha_i p_i(a_i), or a nonzero drift_j with x_j

@@ -112,6 +112,19 @@ def _parse_alpha_window(text) -> int:
     return value
 
 
+def _plain(report: dict) -> str:
+    """One ``key: value`` line per field: booleans as ``true``/``false``,
+    lists joined with ``, ``."""
+    lines = []
+    for key, value in report.items():
+        if isinstance(value, bool):  # before any int test: True == 1
+            value = "true" if value else "false"
+        elif isinstance(value, list):
+            value = ", ".join(value)
+        lines.append("%s: %s" % (key, value))
+    return "\n".join(lines)
+
+
 def _verdict_fields(verdict) -> dict:
     fields = {
         "status": verdict.status,
@@ -134,23 +147,13 @@ def _verdict_lines(label: str, verdict) -> list[str]:
 
 def _cmd_validate(args) -> tuple[dict, str]:
     kind, algebra = _resolve(args.source)
-    ring = algebra.base_ring
     report = {
-        "command": "validate",
         "kind": kind,
-        "variables": list(ring.variables),
+        "variables": list(algebra.base_ring.variables),
         "rank": algebra.rank,
         "ok": True,
     }
-    text = "\n".join(
-        [
-            "kind: %s" % kind,
-            "variables: %s" % ", ".join(ring.variables),
-            "rank: %d" % algebra.rank,
-            "ok: true",
-        ]
-    )
-    return report, text
+    return report, _plain(report)
 
 
 def _cmd_bracket(args) -> tuple[dict, str]:
@@ -158,7 +161,7 @@ def _cmd_bracket(args) -> tuple[dict, str]:
     u = parse_element(args.left, algebra)
     v = parse_element(args.right, algebra)
     rendered = str(u.commutator(v) if isinstance(algebra, GWAData) else u.bracket(v))
-    return {"command": "bracket", "result": rendered}, rendered
+    return {"result": rendered}, rendered
 
 
 def _cmd_mul(args) -> tuple[dict, str]:
@@ -166,7 +169,7 @@ def _cmd_mul(args) -> tuple[dict, str]:
     u = parse_element(args.left, algebra)
     v = parse_element(args.right, algebra)
     rendered = str(u * v)
-    return {"command": "mul", "result": rendered}, rendered
+    return {"result": rendered}, rendered
 
 
 def _cmd_centre(args) -> tuple[dict, str]:
@@ -177,7 +180,6 @@ def _cmd_centre(args) -> tuple[dict, str]:
         str(algebra.element({alpha: poly})) for poly in component.basis
     ]
     report = {
-        "command": "centre",
         "alpha": list(alpha),
         "degree": args.degree,
         "dimension": component.dimension,
@@ -200,7 +202,6 @@ def _cmd_field_check(args) -> tuple[dict, str]:
     algebra = _poisson_algebra(args.source)
     verdict = field_criterion(algebra, args.degree, window)
     report = {
-        "command": "field-check",
         "degree": args.degree,
         "alpha_max": window,
     }
@@ -215,7 +216,6 @@ def _cmd_simple(args) -> tuple[dict, str]:
     algebra = _poisson_algebra(args.source)
     result = simplicity_check(algebra, args.degree, window)
     report = {
-        "command": "simple",
         "degree": args.degree,
         "alpha_max": window,
         "family": result.family,
@@ -241,23 +241,13 @@ def _cmd_closure(args) -> tuple[dict, str]:
     generators = [parse_element(text, algebra) for text in args.generators]
     result = poisson_ideal_closure(algebra, generators, args.degree)
     report = {
-        "command": "closure",
         "degree": args.degree,
         "contains_unit": result.contains_unit,
         "dimension": len(result.basis),
         "overflow": result.overflow,
         "stopped_early": result.stopped_early,
     }
-    text = "\n".join(
-        [
-            "degree: %d" % args.degree,
-            "contains_unit: %s" % ("true" if result.contains_unit else "false"),
-            "dimension: %d" % len(result.basis),
-            "overflow: %d" % result.overflow,
-            "stopped_early: %s" % ("true" if result.stopped_early else "false"),
-        ]
-    )
-    return report, text
+    return report, _plain(report)
 
 
 def _cmd_quantize_check(args) -> tuple[dict, str]:
@@ -281,7 +271,6 @@ def _cmd_quantize_check(args) -> tuple[dict, str]:
         if not pair.matches
     ]
     report = {
-        "command": "quantize-check",
         "nu": built.nu,
         "pairs": len(pairs),
         "all_match": outcome.all_match,
@@ -301,8 +290,7 @@ def _cmd_quantize_check(args) -> tuple[dict, str]:
 def _cmd_gallery(args) -> tuple[dict, str]:
     if args.name is None:
         names = [entry.listed for entry in GALLERY]
-        report = {"command": "gallery", "names": names}
-        return report, "\n".join(names)
+        return {"names": names}, "\n".join(names)
     entry = resolve_gallery(args.name)
     if entry is None:
         raise GwpaError(
@@ -311,8 +299,7 @@ def _cmd_gallery(args) -> tuple[dict, str]:
     algebra, meta = entry
     export = spec_from_gwa if isinstance(algebra, GWAData) else spec_from_gwpa
     text = render_algebra_spec(export(algebra, gallery=meta))
-    report = {"command": "gallery", "name": args.name, "spec": json.loads(text)}
-    return report, text.rstrip("\n")
+    return {"name": args.name, "spec": json.loads(text)}, text.rstrip("\n")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -322,6 +309,43 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+_SOURCE = ("source", {"help": "spec file path or gallery name"})
+_DEGREE = (
+    "--degree",
+    {"type": _nonnegative_int, "default": 6, "help": "base degree bound (default 6)"},
+)
+_VECTOR = ("--alpha", {"help": "grading degree vector, comma separated (default all zero)"})
+_WINDOW = ("--alpha", {"help": "grading window bound (default 4)"})
+_OPERANDS = (("left", {}), ("right", {}))
+_ELEMENTS = ("generators", {"nargs": "+", "metavar": "element"})
+_NAME = ("name", {"nargs": "?"})
+_FORMAT = (
+    "--format",
+    {"choices": ("text", "json"), "default": "text", "help": "output format (default text)"},
+)
+
+#: Every command, declared once: name, help text, handler, and the
+#: ``add_argument`` specs of its arguments in order; ``--format`` follows
+#: them.  A handler returns the report, which ``main`` prints as JSON with
+#: the command's name added, and the text output.
+_COMMANDS = (
+    ("validate", "parse and validate an algebra", _cmd_validate, (_SOURCE,)),
+    ("bracket", "Poisson bracket or commutator", _cmd_bracket, (_SOURCE, *_OPERANDS)),
+    ("mul", "product in normal form", _cmd_mul, (_SOURCE, *_OPERANDS)),
+    (
+        "centre",
+        "centre component in one grading degree",
+        _cmd_centre,
+        (_SOURCE, _DEGREE, _VECTOR),
+    ),
+    ("field-check", "is the centre a field", _cmd_field_check, (_SOURCE, _DEGREE, _WINDOW)),
+    ("simple", "Poisson simplicity criterion", _cmd_simple, (_SOURCE, _DEGREE, _WINDOW)),
+    ("closure", "bounded Poisson ideal closure", _cmd_closure, (_SOURCE, _DEGREE, _ELEMENTS)),
+    ("quantize-check", "graded correspondence check", _cmd_quantize_check, (_SOURCE,)),
+    ("gallery", "list gallery names or print one spec", _cmd_gallery, (_NAME,)),
+)
+
+
 @functools.cache  # built by the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -329,79 +353,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations in generalized Weyl Poisson algebras",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def common(p, source=True, degree=False, alpha=None):
-        if source:
-            p.add_argument("source", help="spec file path or gallery name")
-        if degree:
-            p.add_argument(
-                "--degree",
-                type=_nonnegative_int,
-                default=6,
-                help="base degree bound (default 6)",
-            )
-        if alpha:
-            p.add_argument("--alpha", default=None, help=alpha)
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output format (default text)",
-        )
-        return p
-
-    common(sub.add_parser("validate", help="parse and validate an algebra"))
-
-    p = common(sub.add_parser("bracket", help="Poisson bracket or commutator"))
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = common(sub.add_parser("mul", help="product in normal form"))
-    p.add_argument("left")
-    p.add_argument("right")
-
-    common(
-        sub.add_parser("centre", help="centre component in one grading degree"),
-        degree=True,
-        alpha="grading degree vector, comma separated (default all zero)",
-    )
-    common(
-        sub.add_parser("field-check", help="is the centre a field"),
-        degree=True,
-        alpha="grading window bound (default 4)",
-    )
-    common(
-        sub.add_parser("simple", help="Poisson simplicity criterion"),
-        degree=True,
-        alpha="grading window bound (default 4)",
-    )
-    p = common(
-        sub.add_parser("closure", help="bounded Poisson ideal closure"),
-        degree=True,
-    )
-    p.add_argument("generators", nargs="+", metavar="element")
-
-    common(sub.add_parser("quantize-check", help="graded correspondence check"))
-
-    p = common(
-        sub.add_parser("gallery", help="list gallery names or print one spec"),
-        source=False,
-    )
-    p.add_argument("name", nargs="?", default=None)
+    for name, help_text, handler, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + (_FORMAT,):
+            command.add_argument(flag, **options)
+        command.set_defaults(handler=handler)
     return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "bracket": _cmd_bracket,
-    "mul": _cmd_mul,
-    "centre": _cmd_centre,
-    "field-check": _cmd_field_check,
-    "simple": _cmd_simple,
-    "closure": _cmd_closure,
-    "quantize-check": _cmd_quantize_check,
-    "gallery": _cmd_gallery,
-}
 
 
 def main(argv=None) -> int:
@@ -418,7 +375,7 @@ def main(argv=None) -> int:
             raise GwpaError(
                 "--degree %d exceeds the cap of %d" % (args.degree, MAX_DEGREE)
             )
-        report, text = _HANDLERS[args.command](args)
+        report, text = args.handler(args)
     except (GwpaError, OSError) as exc:
         failure = exc
         while failure is not None and not isinstance(failure, ValidationFailure):
@@ -431,9 +388,15 @@ def main(argv=None) -> int:
             print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+        text = json.dumps({"command": args.command, **report}, indent=2, sort_keys=True)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered to devnull, so the
+        # flush at exit raises nothing (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -136,7 +136,7 @@ def test_centre_component_matches_dense_kernel(A):
             centre_component(A, alpha, -1)
 
 
-def test_absolute_flag_matches_poisson():
+def test_centre_component_rejects_a_degree_tuple_of_the_wrong_length():
     A = gr_usl2()
     with pytest.raises(GwpaError):
         centre_component(A, (0, 0), 5)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 import types
 
@@ -220,6 +222,212 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bracket", "p2", "X1")
     assert code == 2
+
+
+# Recorded with COLUMNS=80, so argparse wraps at a known width, on Python
+# 3.10-3.12; Python 3.13 widens the command column of the top-level --help.
+_USAGE_PINS = {
+    ("--help",): (
+        0,
+        """\
+usage: gwpa [-h] command ...
+
+exact computations in generalized Weyl Poisson algebras
+
+positional arguments:
+  command
+    validate      parse and validate an algebra
+    bracket       Poisson bracket or commutator
+    mul           product in normal form
+    centre        centre component in one grading degree
+    field-check   is the centre a field
+    simple        Poisson simplicity criterion
+    closure       bounded Poisson ideal closure
+    quantize-check
+                  graded correspondence check
+    gallery       list gallery names or print one spec
+
+options:
+  -h, --help      show this help message and exit
+""",
+        "",
+    ),
+    ("validate", "--help"): (
+        0,
+        """\
+usage: gwpa validate [-h] [--format {text,json}] source
+
+positional arguments:
+  source                spec file path or gallery name
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("bracket", "--help"): (
+        0,
+        """\
+usage: gwpa bracket [-h] [--format {text,json}] source left right
+
+positional arguments:
+  source                spec file path or gallery name
+  left
+  right
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("mul", "--help"): (
+        0,
+        """\
+usage: gwpa mul [-h] [--format {text,json}] source left right
+
+positional arguments:
+  source                spec file path or gallery name
+  left
+  right
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("centre", "--help"): (
+        0,
+        """\
+usage: gwpa centre [-h] [--degree DEGREE] [--alpha ALPHA]
+                   [--format {text,json}]
+                   source
+
+positional arguments:
+  source                spec file path or gallery name
+
+options:
+  -h, --help            show this help message and exit
+  --degree DEGREE       base degree bound (default 6)
+  --alpha ALPHA         grading degree vector, comma separated (default all
+                        zero)
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("field-check", "--help"): (
+        0,
+        """\
+usage: gwpa field-check [-h] [--degree DEGREE] [--alpha ALPHA]
+                        [--format {text,json}]
+                        source
+
+positional arguments:
+  source                spec file path or gallery name
+
+options:
+  -h, --help            show this help message and exit
+  --degree DEGREE       base degree bound (default 6)
+  --alpha ALPHA         grading window bound (default 4)
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("simple", "--help"): (
+        0,
+        """\
+usage: gwpa simple [-h] [--degree DEGREE] [--alpha ALPHA]
+                   [--format {text,json}]
+                   source
+
+positional arguments:
+  source                spec file path or gallery name
+
+options:
+  -h, --help            show this help message and exit
+  --degree DEGREE       base degree bound (default 6)
+  --alpha ALPHA         grading window bound (default 4)
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("closure", "--help"): (
+        0,
+        """\
+usage: gwpa closure [-h] [--degree DEGREE] [--format {text,json}]
+                    source element [element ...]
+
+positional arguments:
+  source                spec file path or gallery name
+  element
+
+options:
+  -h, --help            show this help message and exit
+  --degree DEGREE       base degree bound (default 6)
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("quantize-check", "--help"): (
+        0,
+        """\
+usage: gwpa quantize-check [-h] [--format {text,json}] source
+
+positional arguments:
+  source                spec file path or gallery name
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("gallery", "--help"): (
+        0,
+        """\
+usage: gwpa gallery [-h] [--format {text,json}] [name]
+
+positional arguments:
+  name
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default text)
+""",
+        "",
+    ),
+    ("no-such-command",): (
+        2,
+        "",
+        """\
+usage: gwpa [-h] command ...
+gwpa: error: argument command: invalid choice: 'no-such-command' (choose from 'validate', 'bracket', 'mul', 'centre', 'field-check', 'simple', 'closure', 'quantize-check', 'gallery')
+""",
+    ),
+    (): (
+        2,
+        "",
+        "usage: gwpa [-h] command ...\n",
+    ),
+    ("bracket", "p2", "X1"): (
+        2,
+        "",
+        """\
+usage: gwpa bracket [-h] [--format {text,json}] source left right
+gwpa bracket: error: the following arguments are required: right
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_USAGE_PINS))
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv):
+    if argv == ("--help",) and sys.version_info >= (3, 13):
+        pytest.skip("Python 3.13 lays out the command list differently")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == _USAGE_PINS[argv]
 
 
 def test_negative_degree_is_a_usage_error(capsys):
@@ -606,6 +814,23 @@ def test_high_generator_powers_twist_without_recursion(capsys):
     assert run(capsys, "mul", "weyl_1", "--", "Y1^1500", "H1*X1") == (
         0, "(H1^2 + 2999*H1 + 2248500)*Y1^1499\n", "",
     )
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    # The answer has 117,402 bytes, more than a pipe buffer holds, so the
+    # write is still blocked when the reader closes its end after 10 bytes.
+    argv = ["mul", "weyl_1", "--", "X1^300", "Y1^300"]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "gwpa.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    ) as process:
+        assert process.stdout.read(10) == b"H1^300 - 4"
+        process.stdout.close()
+        assert process.wait(timeout=120) == 1
+        assert process.stderr.read() == b""
 
 
 def test_invalid_spec_reports_violations(capsys, tmp_path):
