@@ -294,8 +294,9 @@ class ClosureReport:
 
 
 def _closure_coordinates(A: GWPAData, bound: int):
-    """Coordinates (alpha, packed monomial) of weight at most ``bound``,
-    ascending in weight, then alpha, then graded order."""
+    """Coordinates (weight, alpha, packed monomial) of weight at most
+    ``bound``, ascending in weight, then alpha, then graded order, and the
+    position of each (alpha, packed monomial) among them."""
     ring = A.base_ring
     coords: list[tuple[int, tuple[int, ...], int]] = []
     for alpha in [(0,) * A.rank] + nonzero_alphas(A.rank, bound):
@@ -303,8 +304,7 @@ def _closure_coordinates(A: GWPAData, bound: int):
         for key in monomial_keys(ring, bound - size):
             coords.append((size + (key >> ring.top), alpha, key))
     coords.sort()
-    coords = [(alpha, key) for _, alpha, key in coords]
-    index = {c: i for i, c in enumerate(coords)}
+    index = {(alpha, key): i for i, (_, alpha, key) in enumerate(coords)}
     return coords, index
 
 
@@ -330,7 +330,7 @@ def _vector_to_element(A: GWPAData, row: dict, coords) -> GWPAElement:
     pivot = row[min(row)]
     terms: dict[tuple[int, ...], dict] = {}
     for idx, coeff in row.items():
-        alpha, key = coords[idx]
+        _, alpha, key = coords[idx]
         terms.setdefault(alpha, {})[key] = coeff
     return A.zero()._new({a: _reduced(A.base_ring, t, pivot) for a, t in terms.items()})
 
@@ -391,14 +391,11 @@ def poisson_ideal_closure(
     # the budget every later one does, and ``break`` multiplies by exactly
     # the multipliers, in exactly the order, that skipping them one by one
     # would.  The order matters: it decides which rows the span reports.
-    ring = A.base_ring
-    multipliers: list[tuple[int, GWPAElement]] = []
-    for alpha, key in coords:
-        weight = sum(abs(x) for x in alpha) + (key >> ring.top)
-        if weight >= 1:
-            multipliers.append(
-                (weight, A.element({alpha: _make(ring, {key: 1})}))
-            )
+    multipliers = [
+        (weight, A.element({alpha: _make(A.base_ring, {key: 1})}))
+        for weight, alpha, key in coords
+        if weight >= 1
+    ]
     bracket_gens = A.generators()
 
     stopped_early = False

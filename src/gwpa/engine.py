@@ -315,8 +315,6 @@ class GWPAElement(GradedElement):
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self.scaled(other)
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented

@@ -22,21 +22,18 @@ from .quant import usl2_gwa, weyl_gwa
 
 
 def p2n(n: int) -> GWPAData:
-    """Poisson simple polynomial algebra of rank n.
+    """Poisson simple polynomial algebra of rank n: the
+    :func:`univariate_family` with a_i = H_i and b_i = 1.
 
-    Base K[H_1..H_n] with zero bracket, a_i = H_i and p_i = d/dH_i; the
-    induced brackets are {Y_i, X_j} = delta_ij with all other generator
-    pairs commuting.
+    Base K[H_1..H_n] with zero bracket and p_i = d/dH_i; the induced
+    brackets are {Y_i, X_j} = delta_ij with all other generator pairs
+    commuting.
     """
     if n < 1:
         raise GwpaError("rank must be at least 1")
+    # polynomials over a ring equal to the family's own, so nothing is parsed
     ring = PolyRing(["H%d" % i for i in range(1, n + 1)])
-    base = BasePoissonAlgebra.trivial(ring)
-    a = tuple(ring.var("H%d" % i) for i in range(1, n + 1))
-    partials = tuple(
-        BaseDerivation.partial(ring, "H%d" % i) for i in range(1, n + 1)
-    )
-    return GWPAData.checked(base, a, partials)
+    return univariate_family(ring.gens(), [ring.one()] * n)
 
 
 def gr_usl2() -> GWPAData:

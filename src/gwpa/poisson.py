@@ -146,14 +146,6 @@ class BasePoissonAlgebra:
         """Poisson bracket of two polynomials."""
         return _biderivation_bracket(self.ring, self._entries, f, g)
 
-    def jacobiator(self, f, g, h) -> Polynomial:
-        """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}, identically zero here."""
-        return (
-            self.bracket(f, self.bracket(g, h))
-            + self.bracket(g, self.bracket(h, f))
-            + self.bracket(h, self.bracket(f, g))
-        )
-
     def __repr__(self):
         kind = "trivial" if self.is_trivial else "nontrivial"
         return "BasePoissonAlgebra(%r, %s bracket)" % (self.ring, kind)

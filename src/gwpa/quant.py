@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 from .engine import (
     GradedAlgebra,
@@ -271,7 +271,6 @@ class GWAData(GradedAlgebra):
         object.__setattr__(self, "_alpha_maps", {})
         object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_alpha_weights", {})
-        object.__setattr__(self, "_predicted", None)
 
     @property
     def base_ring(self) -> PolyRing:
@@ -367,6 +366,25 @@ class GWAData(GradedAlgebra):
         """Twice the filtration degree of the nonzero term poly v_alpha."""
         return 2 * poly.weighted_degree(self.weights) + self.alpha_weight(alpha)
 
+    @cached_property  # not a field, so equality and hashing ignore it
+    def _predicted(self) -> GWPAData:
+        """The algebra :func:`predicted_gwpa` returns, built once."""
+        ring, weights = self.ring, self.weights
+        abar = tuple(
+            a.weighted_component(weights, d) for a, d in zip(self.a, self.degrees)
+        )
+        partials = []
+        for sigma in self.sigmas:
+            images = {}
+            for j, name in enumerate(ring.variables):
+                drop = sigma.images[j] - ring.var(name)
+                piece = drop.weighted_component(weights, weights[j] - self.nu)
+                if not piece.is_zero:
+                    images[name] = -piece
+            partials.append(BaseDerivation.from_images(ring, images))
+        base = BasePoissonAlgebra.trivial(ring)
+        return GWPAData.checked(base, abar, tuple(partials))
+
 
 # -- graded correspondence ---------------------------------------------------
 
@@ -379,27 +397,7 @@ def predicted_gwpa(A: GWAData) -> GWPAData:
     the identity.  It is built and validated once per algebra; later calls
     return the same object, with its caches.
     """
-    if A._predicted is None:
-        object.__setattr__(A, "_predicted", _build_predicted(A))
     return A._predicted
-
-
-def _build_predicted(A: GWAData) -> GWPAData:
-    ring = A.ring
-    base = BasePoissonAlgebra.trivial(ring)
-    abar = tuple(
-        A.a[i].weighted_component(A.weights, A.degrees[i]) for i in range(A.rank)
-    )
-    partials = []
-    for i in range(A.rank):
-        images = {}
-        for j, name in enumerate(ring.variables):
-            drop = A.sigmas[i].images[j] - ring.var(name)
-            piece = drop.weighted_component(A.weights, A.weights[j] - A.nu)
-            if not piece.is_zero:
-                images[name] = -piece
-        partials.append(BaseDerivation.from_images(ring, images))
-    return GWPAData.checked(base, abar, tuple(partials))
 
 
 def _graded_image(target: GWPAData, element: GWAElement, degree) -> GWPAElement:

@@ -17,7 +17,7 @@ from gwpa.centre import (
     nonzero_alphas,
     poisson_ideal_closure,
 )
-from gwpa.engine import GWPAData
+from gwpa.engine import GWPAData, GWPAElement
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
@@ -255,6 +255,23 @@ def test_baseline_closures_are_pinned():
             report.contains_unit, len(rendered), report.overflow, report.stopped_early
         ) == (unit, dimension, overflow, early)
         assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
+
+
+def test_closure_finds_the_unit_through_a_multiplier(monkeypatch):
+    # Y1 comes off the queue first.  Its weight-one multipliers Y1, H1 and
+    # X1 give Y1^2, H1*Y1 and X1*Y1 = H1, which with H1 - 1 spans 1 before
+    # any bracket is taken.
+    A = p2n(1)
+    brackets = []
+    bracket = GWPAElement.bracket
+    monkeypatch.setattr(
+        GWPAElement, "bracket", lambda u, v: brackets.append(v) or bracket(u, v)
+    )
+    H1 = A.base_ring.var("H1")
+    report = poisson_ideal_closure(A, [A.Y(1), A.scalar(H1 - 1)], 3)
+    assert (report.contains_unit, report.stopped_early, report.overflow) == (True, True, 0)
+    assert [str(b) for b in report.basis] == ["1", "Y1", "H1", "Y1^2", "H1*Y1"]
+    assert brackets == []
 
 
 def test_closure_edge_cases():

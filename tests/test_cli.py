@@ -700,6 +700,29 @@ def test_nontrivial_bracket_outputs_are_pinned(capsys, command):
     assert run(capsys, *argv) == (0, _NONTRIVIAL_PINS[command], "")
 
 
+# a = H, p = d/dH + (H + Z) d/dZ over a zero bracket: p(H + Z + 1) = H + Z + 1,
+# so H + Z + 1 generates an invariant ideal, but no candidate names it and
+# the closures of both candidates reach a unit.  A search for Darboux
+# polynomials makes condition 1 fail exactly; that re-pin is a stronger verdict.
+_SHIFT_PIN = """\
+degree: 6
+alpha_max: 4
+family: no
+condition 1 (no invariant ideals): undecided (bounded)
+  no invariant principal ideal among 2 candidates; closures seeded with [H + Z, H] reach a unit at weight 6; a full search over invariant ideals is out of scope
+condition 2 (parameter ideals): holds (exact)
+  each parameter is coprime to its own derivative
+condition 3 (centre is a field): undecided (bounded)
+  no witness below the bounds; positive evidence is truncated (constants checked to degree 6, graded components for |alpha| <= 4)
+overall: undecided
+"""
+
+
+def test_condition1_closure_evidence_is_pinned(capsys):
+    path = ROOT / "tests" / "specs" / "shift_1.json"
+    assert run(capsys, "simple", str(path)) == (0, _SHIFT_PIN, "")
+
+
 def test_base_variable_named_like_a_generator_is_rejected(capsys, tmp_path):
     doc = json.loads((SPEC_DIR / "p2.json").read_text())
     del doc["gallery"]
@@ -725,6 +748,12 @@ def test_computation_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "centre", "p2n_2", "--alpha", "1")
     assert code == 1
     assert "rank" in err
+    assert run(capsys, "centre", "weyl_1") == (
+        1, "", "error: this command needs Poisson algebra data, not a quantization\n"
+    )
+    assert run(capsys, "field-check", "p2", "--alpha", "-1") == (
+        1, "", "error: --alpha bound must be nonnegative\n"
+    )
 
 
 def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):

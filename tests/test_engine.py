@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwpa.engine import (
     GWPAData,
+    GWPAElement,
     apply_sI,
     from_ore_data,
     generator_label,
+    gwpa_mul,
     tensor_product,
     torus_apply,
     validate_gwpa,
@@ -653,10 +656,44 @@ def test_foreign_polynomials_raise_ambient_mismatch():
             lambda: A.X(1) + foreign,
             lambda: foreign - A.X(1),
             lambda: A.X(1) * foreign,
+            lambda: A.zero() * foreign,
+            lambda: foreign * A.zero(),
             lambda: A.element({(0,): foreign}),
         ):
             with pytest.raises(AmbientMismatchError):
                 attempt()
+
+
+@pytest.mark.parametrize(
+    "make, texts",
+    [
+        (lambda: p2n(2), ["(H1^2 - 1/2)*X1*Y2 + 3*Y1^2 + H2", "1"]),
+        (gr_usl2, ["(C + H)*X1^2 - 2/3*H*Y1"]),
+        (lambda: weyl_gwa(1), ["(H1 + 1)*X1^2 - 1/2*Y1 + H1^2"]),
+    ],
+    ids=["p2n_2", "gr_usl2", "weyl_1"],
+)
+def test_scalars_take_the_product_route_on_both_sides(make, texts):
+    """An int, a Fraction or a base polynomial multiplies as its image under
+    ``scalar``, from either side and on the zero element too.  Rationals are
+    central everywhere; a base polynomial commutes only on the Poisson side
+    (in weyl_1, X1*H1 = (H1 - 1)*X1)."""
+    A = make()
+    ring = A.base_ring
+    h = ring.gens()[0]
+    elements = [A.zero()] + [parse_element(text, A) for text in texts]
+    for u in elements:
+        for c in (0, 3, -2, Fraction(-2, 3), h ** 2 - Fraction(1, 2), ring.zero()):
+            assert u * c == u * A.scalar(c)
+            assert c * u == A.scalar(c) * u
+            if isinstance(u, GWPAElement):
+                assert u * c == c * u == u.scaled(c)
+            elif not isinstance(c, Polynomial):
+                assert u * c == c * u
+    u, v = elements[-1], A.X(1) + A.scalar(h)
+    if isinstance(u, GWPAElement):
+        assert gwpa_mul(u, v) == u * v
+        assert gwpa_mul(v, u) == v * u
 
 
 def test_validation_violations():

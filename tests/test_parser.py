@@ -64,6 +64,12 @@ def test_errors_carry_positions(ring):
         parse_polynomial("H ^ x", ring)
     with pytest.raises(ParseError):
         parse_polynomial("1/0", ring)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("H $ 1", ring)
+    assert str(err.value) == "unexpected character '$' (at position 2 in 'H $ 1')"
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("2*1", ring)
+    assert str(err.value) == "expected a variable after '*' (at position 2 in '2*1')"
 
 
 def test_parse_element_normalizes():

@@ -217,8 +217,26 @@ def test_general_condition2_multivariate_zero():
             "gcd(a_1, p_1(a_1)) = H1 is nonconstant, so the ideal they "
             "generate is proper",
         ),
+        # No zero on the integer grid and no reduction to one variable.
+        # Exact ideal membership decides both: (H*Z + 1, Z) = (1), and
+        # (H^2 + Z^2 + 1, 2*H) = (H, Z^2 + 1) is proper.  Re-pinning them
+        # as holds and fails is a stronger verdict.
+        (
+            lambda: zero_bracket_data(["H", "Z"], ["H*Z + 1"], ["H"]),
+            "undecided",
+            None,
+            "pairs [1] are genuinely multivariate; ideal membership beyond "
+            "the univariate case is out of scope",
+        ),
+        (
+            lambda: zero_bracket_data(["H", "Z"], ["H^2 + Z^2 + 1"], ["H"]),
+            "undecided",
+            None,
+            "pairs [1] are genuinely multivariate; ideal membership beyond "
+            "the univariate case is out of scope",
+        ),
     ],
-    ids=["H^2", "zero", "H+1", "p2n_1", "family_H1^2"],
+    ids=["H^2", "zero", "H+1", "p2n_1", "family_H1^2", "H*Z+1", "H^2+Z^2+1"],
 )
 def test_condition2_one_procedure(build, status, witness, detail):
     verdict = simplicity_check(build(), degree=2, alpha_max=1).condition2
