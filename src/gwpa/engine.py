@@ -86,9 +86,9 @@ class GradedElement:
     """Element in graded normal form: a map from Z^n degrees alpha to nonzero
     base polynomial coefficients d, read as the sum of the terms d v_alpha.
 
-    Subclasses supply the product.  Ints, Fractions and base polynomials act
-    as scalars in every operation; a polynomial over another ring raises
-    :class:`AmbientMismatchError`.
+    Ints, Fractions and base polynomials act as scalars in every operation;
+    a polynomial over another ring raises :class:`AmbientMismatchError`.
+    A scalar, whose only degree is zero, hashes as its coefficient.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -170,6 +170,12 @@ class GradedElement:
     def __rsub__(self, other):
         return (-self) + other
 
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(_graded_mul(self.algebra, self._terms, other._terms))
+
     def __rmul__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
@@ -196,6 +202,9 @@ class GradedElement:
         return self.algebra == other.algebra and self._terms == other._terms
 
     def __hash__(self):
+        zero_alpha = self.algebra.zero_alpha
+        if self._terms.keys() <= {zero_alpha}:  # equal to its coefficient
+            return hash(self._terms.get(zero_alpha, 0))
         return hash((self.algebra, frozenset(self._terms.items())))
 
     def __str__(self):
@@ -314,11 +323,7 @@ class GWPAElement(GradedElement):
             self.algebra, {a: p * factor for a, p in self._terms.items()}
         )
 
-    def __mul__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._new(_graded_mul(self.algebra, self._terms, other._terms))
+    __mul__ = GradedElement.__mul__  # bench/tracer.py wraps the class's own entry
 
     def bracket(self, other: "GWPAElement") -> "GWPAElement":
         """Poisson bracket, summed over pairs of basis terms."""

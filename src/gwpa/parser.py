@@ -19,8 +19,10 @@ in written order, which matters for noncommutative products.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import ParseError
 
@@ -28,6 +30,9 @@ _SYMBOLS = {"+", "-", "*", "^", "/", "(", ")"}
 
 #: Name of a parenthesized factor ``(_GROUP, terms, position)`` in a term.
 _GROUP = "("
+
+#: An element generator name X<i> or Y<i>, i written without leading zeros.
+_GENERATOR = re.compile(r"([XY])([1-9][0-9]*)")
 
 
 def digit_limit_message(digits: int) -> str:
@@ -51,9 +56,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("sym", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads; a superscript digit is not
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -174,11 +179,11 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
 def parse_polynomial(text: str, ring) -> "Polynomial":
     """Parse text as a polynomial over the given ring."""
-    atoms = {name: ring.var(name) for name in ring.variables}
+    lookup = cache(lambda name: ring.var(name) if name in ring.variables else None)
     unknown = "unknown variable %%r (ring has %s)" % (
         ", ".join(ring.variables) or "no variables"
     )
-    return _evaluate(parse_terms(text), atoms, ring.zero(), ring.const, text, unknown)
+    return _evaluate(parse_terms(text), lookup, ring.zero(), ring.const, text, unknown)
 
 
 def parse_element(text: str, algebra) -> "GWPAElement":
@@ -187,30 +192,32 @@ def parse_element(text: str, algebra) -> "GWPAElement":
     Recognized names are the base ring variables plus ``Xi`` and ``Yi`` for
     ``i`` between 1 and the rank.  Factors multiply in written order.
     """
-    ring = algebra.base_ring
-    atoms = {name: algebra.scalar(ring.var(name)) for name in ring.variables}
-    for i in range(1, algebra.rank + 1):
-        atoms["X%d" % i] = algebra.X(i)
-        atoms["Y%d" % i] = algebra.Y(i)
-    unknown = "unknown name %%r (expected a base variable or X1..X%d, Y1..Y%d)"
-    unknown %= (algebra.rank, algebra.rank)
-    return _evaluate(parse_terms(text), atoms, algebra.zero(), algebra.scalar, text, unknown)
+    ring, rank = algebra.base_ring, algebra.rank
+    @cache
+    def lookup(name):
+        generator = _GENERATOR.fullmatch(name)
+        if generator and len(generator[2]) <= len(str(rank)) and int(generator[2]) <= rank:
+            return (algebra.X if generator[1] == "X" else algebra.Y)(int(generator[2]))
+        return algebra.scalar(ring.var(name)) if name in ring.variables else None
+
+    unknown = "unknown name %%r (expected a base variable or X1..X%d, Y1..Y%d)" % (rank, rank)
+    return _evaluate(parse_terms(text), lookup, algebra.zero(), algebra.scalar, text, unknown)
 
 
-def _evaluate(terms, atoms, zero, const, text: str, unknown_message: str):
-    """The value of a parsed term list: ``atoms`` maps each known name to
-    its value, ``const`` turns a rational into one, and factors multiply in
-    written order.  An unknown name raises ParseError with
-    ``unknown_message % name``; a degree past the limit raises from the
+def _evaluate(terms, lookup, zero, const, text: str, unknown_message: str):
+    """The value of a parsed term list: ``lookup`` maps a name to its value,
+    None when the name is unknown, ``const`` turns a rational into one, and
+    factors multiply in written order.  An unknown name raises ParseError
+    with ``unknown_message % name``; a degree past the limit raises from the
     power or product that would reach it."""
     total = zero
     for coeff, factors in terms:
         piece = const(coeff)
         for name, power, where in factors:
             if name == _GROUP:
-                piece = piece * _evaluate(power, atoms, zero, const, text, unknown_message)
-            elif name in atoms:
-                piece = piece * atoms[name] ** power
+                piece = piece * _evaluate(power, lookup, zero, const, text, unknown_message)
+            elif (value := lookup(name)) is not None:
+                piece = piece * value ** power
             else:
                 raise ParseError(unknown_message % (name,), text, where)
         total = total + piece

@@ -210,8 +210,6 @@ class BaseDerivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring is not self.ring and f.ring != self.ring:
             raise GwpaError("derivation applied to polynomial over a different ring")
-        if f.is_constant:  # zero: the memoized image of the monomial 1
-            return self._image_of(0)
         return f.map_monomials(self._image_of)
 
     def negated(self) -> "BaseDerivation":

@@ -169,11 +169,11 @@ class Polynomial:
     otherwise.
     """
 
-    __slots__ = ("ring", "_terms", "_den", "_hash")
+    __slots__ = ("ring", "_terms", "_den")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], Coeff]):
         built = _from_values(ring, {ring.pack(e): c for e, c in terms.items()})
-        self.ring, self._terms, self._den, self._hash = ring, built._terms, built._den, None
+        self.ring, self._terms, self._den = ring, built._terms, built._den
 
     # -- introspection -------------------------------------------------
 
@@ -432,10 +432,9 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            items = tuple(sorted(self.items()))
-            self._hash = hash((self.ring.variables, items))
-        return self._hash
+        if self.is_constant:  # equal to its value, so it hashes as that value
+            return hash(self.constant_value())
+        return hash((self.ring.variables, tuple(sorted(self.items()))))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         """Terms in graded-lex descending order."""
@@ -456,7 +455,7 @@ def _make(ring: PolyRing, terms: dict, den: int = 1) -> Polynomial:
     """Trusted constructor: ``terms`` maps packed keys to nonzero int
     numerators over ``den`` > 0, with no factor common to all of them."""
     poly = object.__new__(Polynomial)
-    poly.ring, poly._terms, poly._den, poly._hash = ring, terms, den, None
+    poly.ring, poly._terms, poly._den = ring, terms, den
     return poly
 
 

@@ -81,7 +81,8 @@ class AlgebraSpec:
 
     @cached_property  # not a field, so equality and hashing ignore it
     def _built(self):
-        return _build(self)
+        """For a spec made from an algebra: its text is the one route in."""
+        return parse_algebra_spec(render_algebra_spec(self))._built
 
 
 def _list(value, location, item, length=None) -> tuple:
@@ -99,7 +100,7 @@ def _list(value, location, item, length=None) -> tuple:
 
 
 def _read(value, shape, sizes, ring, location):
-    """Check one field of the given shape and canonicalize its entries."""
+    """Check one field of the given shape; polynomial entries are parsed."""
     if shape == "int":
         if type(value) is not int:
             raise SpecError("expected an integer", location)
@@ -110,7 +111,7 @@ def _read(value, shape, sizes, ring, location):
         parsed = []
         for i, text in enumerate(_list(value, location, str, *sizes)):
             try:
-                parsed.append(render_polynomial(parse_polynomial(text, ring)))
+                parsed.append(parse_polynomial(text, ring))
             except ParseError as exc:
                 raise SpecError(str(exc), "%s[%d]" % (location, i)) from exc
         return tuple(parsed)
@@ -121,13 +122,6 @@ def _read(value, shape, sizes, ring, location):
         _read(row, "polys", (cols,), ring, "%s[%d]" % (location, i))
         for i, row in enumerate(value)
     )
-
-
-def _parsed(value, ring):
-    """Polynomials for the canonical strings of a field, at any depth."""
-    if isinstance(value, str):
-        return parse_polynomial(value, ring)
-    return tuple(_parsed(entry, ring) for entry in value)
 
 
 def _rendered(value):
@@ -170,9 +164,10 @@ def _canonical_gallery(value) -> tuple[tuple[str, object], ...]:
 def parse_algebra_spec(text: str) -> AlgebraSpec:
     """Parse and fully validate a JSON algebra description.
 
-    Every polynomial string is reparsed and canonically re-rendered, and the
-    described algebra is built here, so that structural violations surface
-    with field locations rather than later; ``build()`` returns that algebra.
+    Every polynomial string is parsed once: its polynomial is canonically
+    re-rendered into the spec and the described algebra is built from it
+    here, so that structural violations surface with field locations rather
+    than later; ``build()`` returns that algebra.
     """
     try:
         doc = json.loads(text)
@@ -213,18 +208,13 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
                 doc[key], shape, tuple(sizes[d] for d in dims), ring, key
             )
 
-    spec = AlgebraSpec(**fields)
-    spec.build()
+    spec = AlgebraSpec(**{key: _rendered(value) for key, value in fields.items()})
+    object.__setattr__(spec, "_built", _build(spec, ring, fields))
     return spec
 
 
-def _build(spec: AlgebraSpec):
-    ring = _make_ring(spec.variables, "variables")
-    field = {
-        key: _parsed(getattr(spec, key), ring)
-        for key, shape, _ in _FIELDS[spec.kind]
-        if shape in ("polys", "matrix")
-    }
+def _build(spec: AlgebraSpec, ring: PolyRing, field: dict):
+    """The algebra of a spec, from its ring and its fields as read."""
     if spec.kind == "gwa":
         sigmas = []
         for i, images in enumerate(field["sigmas"]):

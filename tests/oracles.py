@@ -277,6 +277,10 @@ class TuplePolynomial:
         return self.terms.get(tuple(exps), 0)
 
     def hash_value(self) -> int:
+        """A constant hashes as its value, which it equals; any other
+        polynomial as its variables and sorted terms."""
+        if not any(map(any, self.terms)):
+            return hash(self.terms.get((0,) * len(self.variables), 0))
         return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def __str__(self):

@@ -754,6 +754,13 @@ def test_computation_errors_exit_one(capsys, tmp_path):
     assert run(capsys, "field-check", "p2", "--alpha", "-1") == (
         1, "", "error: --alpha bound must be nonnegative\n"
     )
+    assert run(capsys, "mul", "p2", "--", "H1^²", "1") == (
+        1, "", "error: unexpected character '²' (at position 3 in 'H1^²')\n"
+    )
+    for name, ordinal in (("p2n_0", "1"), ("gr_heisenberg_0", "1"), ("weyl_0", "one")):
+        assert run(capsys, "validate", name) == (
+            1, "", "error: rank must be at least %s\n" % ordinal
+        )
 
 
 def test_exponents_past_the_monomial_limit_fail_cleanly(capsys):

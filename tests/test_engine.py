@@ -628,6 +628,20 @@ def test_elements_hash_consistently_with_equality():
         assert A.zero_alpha == (0,) * A.rank
 
 
+def test_equal_scalars_are_the_same_set_member():
+    """A value, its constant or base polynomial and its scalar element are
+    equal, so each finds the others in a set, in both directions."""
+    for A in (p2n(1), weyl_gwa(1)):
+        ring = A.base_ring
+        h = ring.gens()[0]
+        for value, poly in ((3, ring.const(3)), (Fraction(-2, 3), ring.const(Fraction(-2, 3))),
+                            (h, h), (0, ring.zero())):
+            element = A.scalar(value)
+            for x, y in ((value, poly), (value, element), (poly, element)):
+                assert x == y and y == x
+                assert x in {y} and y in {x}
+
+
 def test_base_variables_may_not_shadow_generators():
     ring = PolyRing(["X1"])
     with pytest.raises(GwpaError, match="clashes"):
@@ -741,6 +755,11 @@ def test_validation_violations():
 
     with pytest.raises(GwpaError):
         GWPAData(trivial, (H1,), (twisted, BaseDerivation.partial(ring, "H2")))
+    foreign = PolyRing(["W"])
+    with pytest.raises(GwpaError, match="^parameter polynomial lives over a different ring$"):
+        GWPAData(trivial, (foreign.var("W"),), (twisted,))
+    with pytest.raises(GwpaError, match="^derivation lives over a different ring$"):
+        GWPAData(trivial, (H1,), (BaseDerivation.partial(foreign, "W"),))
 
 
 def test_univariate_family_constructor():
@@ -751,3 +770,10 @@ def test_univariate_family_constructor():
         univariate_family(["H2"], ["1"])
     with pytest.raises(GwpaError):
         univariate_family(["H1"], [])
+    for a, message in (
+        ([PolyRing(["W"]).var("W")], r"a_1 must live over PolyRing\(H1\)"),
+        ([1], "a_1 must be a string or polynomial"),
+        (["H1", "H1"], "a_2 must be univariate in H2, got H1"),
+    ):
+        with pytest.raises(GwpaError, match="^%s$" % message):
+            univariate_family(a, ["1"] * len(a))

@@ -70,6 +70,11 @@ def test_errors_carry_positions(ring):
     with pytest.raises(ParseError) as err:
         parse_polynomial("2*1", ring)
     assert str(err.value) == "expected a variable after '*' (at position 2 in '2*1')"
+    # a superscript digit is a digit to str.isdigit, but not a number to int()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("H^²", ring)
+    assert str(err.value) == "unexpected character '²' (at position 2 in 'H^²')"
+    assert parse_polynomial("H^٣", ring) == ring.var("H") ** 3  # Arabic-Indic 3
 
 
 def test_parse_element_normalizes():

@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from gwpa import poisson
-from gwpa.errors import BracketMatrixError, JacobiViolationError
+from gwpa.errors import BracketMatrixError, GwpaError, JacobiViolationError
 from gwpa.gallery import gr_usl2, p2n
 from gwpa.poisson import (
     BaseDerivation,
@@ -77,6 +77,11 @@ def test_matrix_shape_and_antisymmetry_rejected():
         BasePoissonAlgebra(ring, [[one, one], [-one, zero]])
     with pytest.raises(BracketMatrixError):
         BasePoissonAlgebra(ring, [[zero, one]])
+    with pytest.raises(
+        BracketMatrixError,
+        match=r"^bracket matrix entries must be polynomials over PolyRing\(x, y\)$",
+    ):
+        BasePoissonAlgebra(ring, [[0, 1], [-1, 0]])
 
 
 def test_jacobi_violation_detected():
@@ -157,6 +162,13 @@ def test_derivation_call_and_chain_rule():
     assert der.image_of("H1") == H2
     assert BaseDerivation.partial(ring, "H1")(H1 ** 3) == 3 * H1 ** 2
     assert BaseDerivation.zero(ring).is_zero
+    foreign = PolyRing(["W"]).one()
+    with pytest.raises(GwpaError, match="^derivation image lives in a different ring$"):
+        BaseDerivation.from_images(ring, {"H1": foreign})
+    with pytest.raises(
+        GwpaError, match="^derivation applied to polynomial over a different ring$"
+    ):
+        der(foreign)
 
 
 def so3_hamiltonian():
@@ -254,6 +266,11 @@ def test_poisson_derivation_predicate():
         },
     )
     assert is_poisson_derivation(algebra, hamiltonian)
+    foreign = BaseDerivation.partial(PolyRing(["W"]), "W")
+    with pytest.raises(
+        GwpaError, match="^derivation and Poisson algebra live over different rings$"
+    ):
+        is_poisson_derivation(algebra, foreign)
 
 
 def test_derivations_commute():
@@ -263,3 +280,6 @@ def test_derivations_commute():
     scaled = BaseDerivation.from_images(ring, {"H1": ring.var("H1")})
     assert derivations_commute([d1, d2])
     assert not derivations_commute([d1, scaled])
+    foreign = BaseDerivation.partial(PolyRing(["W"]), "W")
+    with pytest.raises(GwpaError, match="^derivations live over different rings$"):
+        derivations_commute([d1, foreign])

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwpa.errors import AlgebraMismatchError, GwpaError
+from gwpa.errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
 from gwpa.gallery import gr_usl2, p2n
 from gwpa.poisson import BaseDerivation
 from gwpa.poly import NEG_INF, Polynomial, PolyRing
@@ -41,6 +41,16 @@ def test_substitution_call_and_compose():
     identity = AffineSubstitution.identity(ring)
     assert identity.compose(sig) == sig
     assert sig.compose(identity) == sig
+    foreign = PolyRing(["W"])
+    mismatch = r"^ambient mismatch: operands live over \['H'\] and \['W'\]$"
+    with pytest.raises(GwpaError, match="^expected 1 images, got 2$"):
+        AffineSubstitution(ring, (H, H))
+    with pytest.raises(AmbientMismatchError, match=mismatch):
+        AffineSubstitution(ring, (foreign.var("W"),))
+    with pytest.raises(AmbientMismatchError, match=mismatch):
+        sig(foreign.one())
+    with pytest.raises(AmbientMismatchError, match=mismatch):
+        sig.compose(AffineSubstitution.identity(foreign))
 
 
 def test_substitution_inverse():
@@ -189,6 +199,18 @@ def test_algebra_data_validation():
         GWAData(ring, (shift1, shift2), (H1, H2), (1, 1), (1, 1), nu=0)
     with pytest.raises(GwpaError, match="weights must be positive"):
         GWAData(ring, (shift1, shift2), (H1, H2), (0, 1), (1, 1))
+    with pytest.raises(GwpaError, match="^rank must be at least one$"):
+        GWAData(ring, (), (), (1, 1), ())
+    with pytest.raises(GwpaError, match="^substitutions, parameters and degrees must align$"):
+        GWAData(ring, (shift1,), (H1, H2), (1, 1), (1,))
+    with pytest.raises(GwpaError, match="^one weight per base variable is required$"):
+        GWAData(ring, (shift1,), (H1,), (1,), (1,))
+    foreign = PolyRing(["W"])
+    mismatch = r"^ambient mismatch: operands live over \['H1', 'H2'\] and \['W'\]$"
+    with pytest.raises(AmbientMismatchError, match=mismatch):
+        GWAData(ring, (AffineSubstitution.identity(foreign),), (H1,), (1, 1), (1,))
+    with pytest.raises(AmbientMismatchError, match=mismatch):
+        GWAData(ring, (shift1,), (foreign.var("W"),), (1, 1), (1,))
 
     line = PolyRing(["H"])
     H = line.var("H")

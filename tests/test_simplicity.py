@@ -235,8 +235,31 @@ def test_general_condition2_multivariate_zero():
             "pairs [1] are genuinely multivariate; ideal membership beyond "
             "the univariate case is out of scope",
         ),
+        # The grid of candidate zeros covers {-2..2}^n up to four variables
+        # and is only the origin beyond: the same a fails over four and is
+        # undecided over five.  Exact ideal membership decides the second as
+        # fails; re-pinning it then is a stronger verdict.
+        (
+            lambda: zero_bracket_data(["H1", "H2", "H3", "H4"], ["H1*H2 + H3 + 1"], ["H1"]),
+            "fails",
+            None,
+            "a_1 and p_1(a_1) both vanish at the point (-2, 0, -1, -2), so the "
+            "ideal they generate is proper",
+        ),
+        (
+            lambda: zero_bracket_data(
+                ["H1", "H2", "H3", "H4", "H5"], ["H1*H2 + H3 + 1"], ["H1"]
+            ),
+            "undecided",
+            None,
+            "pairs [1] are genuinely multivariate; ideal membership beyond "
+            "the univariate case is out of scope",
+        ),
     ],
-    ids=["H^2", "zero", "H+1", "p2n_1", "family_H1^2", "H*Z+1", "H^2+Z^2+1"],
+    ids=[
+        "H^2", "zero", "H+1", "p2n_1", "family_H1^2", "H*Z+1", "H^2+Z^2+1",
+        "4_variables", "5_variables",
+    ],
 )
 def test_condition2_one_procedure(build, status, witness, detail):
     verdict = simplicity_check(build(), degree=2, alpha_max=1).condition2

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwpa import specfile
 from gwpa.engine import OreRealization
 from gwpa.errors import SpecError, ValidationFailure
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n
+from gwpa.poly import PolyRing
 from gwpa.quant import GWAData, usl2_gwa, weyl_gwa
 from gwpa.specfile import (
     parse_algebra_spec,
@@ -182,6 +185,15 @@ def test_rejects_bad_field_shapes():
     doc["a"] = ["H1", "H1"]
     with pytest.raises(SpecError, match="expected 1 entries"):
         parse_algebra_spec(json.dumps(doc))
+    doc = dict(
+        good_gwpa_doc(),
+        variables=["H1", "H2"],
+        bracket=[["0", "1"], ["1", "0"]],
+        partials=[["1", "0"]],
+    )
+    with pytest.raises(SpecError) as info:
+        parse_algebra_spec(json.dumps(doc))
+    assert str(info.value) == "bracket: bracket matrix is not antisymmetric at (1, 2)"
 
 
 def test_error_locations_name_the_field():
@@ -256,6 +268,10 @@ def test_gwa_document_errors():
     doc = dict(base, degrees=[2])
     with pytest.raises(SpecError, match="weighted degree"):
         parse_algebra_spec(json.dumps(doc))
+    doc = dict(base, nu="1")
+    with pytest.raises(SpecError) as info:
+        parse_algebra_spec(json.dumps(doc))
+    assert str(info.value) == "nu: expected an integer"
 
 
 def test_gallery_metadata_validation():
@@ -269,3 +285,41 @@ def test_gallery_metadata_validation():
     doc["gallery"] = {"name": "p2n", "params": {"n": True}}
     with pytest.raises(SpecError, match="gallery.params.n"):
         parse_algebra_spec(json.dumps(doc))
+    for gallery, message in (
+        ([], "gallery: expected an object"),
+        ({"name": "x", "params": []}, "gallery.params: expected an object"),
+    ):
+        doc["gallery"] = gallery
+        with pytest.raises(SpecError) as info:
+            parse_algebra_spec(json.dumps(doc))
+        assert str(info.value) == message
+
+
+def _polynomial_strings(doc) -> list[str]:
+    return doc["a"] + [text for row in doc["bracket"] + doc["partials"] for text in row]
+
+
+def test_each_spec_polynomial_is_parsed_once(monkeypatch):
+    parse = specfile.parse_polynomial
+    texts = []
+    monkeypatch.setattr(
+        specfile, "parse_polynomial", lambda text, ring: texts.append(text) or parse(text, ring)
+    )
+    text = (SPEC_DIR / "p2n_2.json").read_text()
+    parse_algebra_spec(text).build()
+    assert sorted(texts) == sorted(_polynomial_strings(json.loads(text)))
+
+
+def test_spec_texts_build_only_the_variables_they_name(monkeypatch):
+    """Reading the rendered p2n(30) spec builds each named variable once per
+    text that names it, and validation builds the generators once; building
+    every variable for every text took 109,830 builds."""
+    var = PolyRing.var
+    built = []
+    monkeypatch.setattr(PolyRing, "var", lambda ring, name: built.append(name) or var(ring, name))
+    text = render_algebra_spec(spec_from_gwpa(p2n(30)))
+    built.clear()
+    parse_algebra_spec(text)
+    doc = json.loads(text)
+    named = set(re.findall(r"[A-Za-z]\w*", " ".join(_polynomial_strings(doc))))
+    assert len(built) <= len(named) + len(doc["variables"])
