@@ -7,8 +7,10 @@ so: verdicts are exact only when an analytic argument removes the bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, lcm
 from typing import Callable, Sequence
 
@@ -296,7 +298,8 @@ class ClosureReport:
 def _closure_coordinates(A: GWPAData, bound: int):
     """Coordinates (weight, alpha, packed monomial) of weight at most
     ``bound``, ascending in weight, then alpha, then graded order, and the
-    position of each (alpha, packed monomial) among them."""
+    position of each among them, keyed by alpha and then by packed
+    monomial."""
     ring = A.base_ring
     coords: list[tuple[int, tuple[int, ...], int]] = []
     for alpha in [(0,) * A.rank] + nonzero_alphas(A.rank, bound):
@@ -304,35 +307,42 @@ def _closure_coordinates(A: GWPAData, bound: int):
         for key in monomial_keys(ring, bound - size):
             coords.append((size + (key >> ring.top), alpha, key))
     coords.sort()
-    index = {(alpha, key): i for i, (_, alpha, key) in enumerate(coords)}
+    index: dict[tuple[int, ...], dict[int, int]] = {}
+    for i, (_, alpha, key) in enumerate(coords):
+        index.setdefault(alpha, {})[key] = i
     return coords, index
 
 
 def _element_to_vector(u: GWPAElement, index) -> dict[int, int] | None:
-    """The coordinates of ``u`` times the lcm of its denominators."""
+    """The coordinates of ``u`` times the lcm of its denominators, or None
+    when a term has no coordinate."""
     scale = 1
     for poly in u._terms.values():
         if poly._den != 1:
             scale = lcm(scale, poly._den)
     vec: dict[int, int] = {}
-    for alpha, poly in u._terms.items():
-        factor = scale // poly._den
-        for key, coeff in poly._terms.items():
-            idx = index.get((alpha, key))
-            if idx is None:
-                return None
-            vec[idx] = coeff * factor
+    try:
+        for alpha, poly in u._terms.items():
+            slot = index[alpha]
+            factor = scale // poly._den
+            for key, coeff in poly._terms.items():
+                vec[slot[key]] = coeff * factor
+    except KeyError:
+        return None
     return vec
 
 
-def _vector_to_element(A: GWPAData, row: dict, coords) -> GWPAElement:
-    """The element of a tracker row: ``row`` divided by its pivot entry."""
-    pivot = row[min(row)]
+def _vector_to_element(zero: GWPAElement, row: dict, coords, den: int = 1) -> GWPAElement:
+    """The element of a tracker row divided by ``den``, built from the zero
+    element of its algebra."""
+    ring = zero.algebra.base_ring
     terms: dict[tuple[int, ...], dict] = {}
     for idx, coeff in row.items():
         _, alpha, key = coords[idx]
         terms.setdefault(alpha, {})[key] = coeff
-    return A.zero()._new({a: _reduced(A.base_ring, t, pivot) for a, t in terms.items()})
+    if den == 1:  # int entries, all nonzero
+        return zero._new({a: _make(ring, t) for a, t in terms.items()})
+    return zero._new({a: _reduced(ring, t, den) for a, t in terms.items()})
 
 
 def poisson_ideal_closure(
@@ -347,6 +357,14 @@ def poisson_ideal_closure(
     constant certifies that the ideal is not proper.  More than
     ``MAX_COORDINATES`` coordinates of weight at most ``degree`` raise
     before any is built.
+
+    Each new tracker row is queued as the int row it is when inserted:
+    its pivot entry times the element the row stands for, which the
+    reported basis divides out.  :meth:`Echelon.insert` adds the same row
+    for any nonzero multiple of a vector, so the products and brackets of
+    the multiple give the span exactly the rows they would give unscaled.
+    The monomial multipliers are built on first need, up to the largest
+    weight budget that a queued element reaches.
     """
     if degree < 0:
         raise GwpaError("closure bound must be nonnegative")
@@ -355,6 +373,8 @@ def poisson_ideal_closure(
         "coordinates in a closure", "degree", degree,
     )
     coords, index = _closure_coordinates(A, degree)
+    ring = A.base_ring
+    zero = A.zero()
     tracker = Echelon()
     overflow = 0
     queue: deque[GWPAElement] = deque()
@@ -365,7 +385,7 @@ def poisson_ideal_closure(
         index holds every coordinate of weight at most ``degree``, so a
         heavier ``u`` has no vector and counts as one overflow."""
         nonlocal overflow
-        if u.is_zero:
+        if not u._terms:
             return False
         vec = _element_to_vector(u, index)
         if vec is None:
@@ -374,7 +394,7 @@ def poisson_ideal_closure(
         row = tracker.insert(vec)
         if row is None:
             return False
-        queue.append(_vector_to_element(A, row, coords))
+        queue.append(_vector_to_element(zero, row, coords))
         return True
 
     def reaches_unit(u: GWPAElement) -> bool:
@@ -387,15 +407,11 @@ def poisson_ideal_closure(
             raise GwpaError("closure generator belongs to a different algebra")
         admit(g)
 
-    # coords ascend in weight, so the multipliers do too: once one exceeds
-    # the budget every later one does, and ``break`` multiplies by exactly
-    # the multipliers, in exactly the order, that skipping them one by one
-    # would.  The order matters: it decides which rows the span reports.
-    multipliers = [
-        (weight, A.element({alpha: _make(A.base_ring, {key: 1})}))
-        for weight, alpha, key in coords
-        if weight >= 1
-    ]
+    # The multipliers are the monomials of weight at least one, coords[1:],
+    # ascending in weight, so those within a budget are a prefix of them,
+    # built on first need.  Multiplying by exactly that prefix, in order,
+    # keeps the order of products, which decides which rows the span reports.
+    multipliers: list[GWPAElement] = []
     bracket_gens = A.generators()
 
     stopped_early = False
@@ -403,9 +419,10 @@ def poisson_ideal_closure(
     while queue and not found_unit:
         current = queue.popleft()
         budget = degree - current.total_degree
-        for weight, mult in multipliers:
-            if weight > budget:
-                break
+        count = bisect_left(coords, (budget + 1,)) - 1  # weights 1 .. budget
+        for _, alpha, key in coords[len(multipliers) + 1 : count + 1]:
+            multipliers.append(zero._new({alpha: _make(ring, {key: 1})}))
+        for mult in islice(multipliers, count):
             if reaches_unit(mult * current):
                 found_unit = True
                 break
@@ -414,8 +431,8 @@ def poisson_ideal_closure(
         stopped_early = found_unit
 
     basis = tuple(
-        _vector_to_element(A, tracker.rows[lead], coords)
-        for lead in sorted(tracker.rows)
+        _vector_to_element(zero, row, coords, row[lead])
+        for lead, row in sorted(tracker.rows.items())
     )
     return ClosureReport(
         contains_unit=found_unit,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -98,7 +98,10 @@ class GradedElement:
         rank = algebra.rank
         clean: dict[tuple[int, ...], Polynomial] = {}
         for alpha, poly in dict(terms).items():
-            alpha = tuple(map(int, alpha))
+            try:
+                alpha = tuple(map(index, alpha))
+            except TypeError:
+                raise GwpaError("degree tuple %r must hold integers" % (alpha,)) from None
             if len(alpha) != rank:
                 raise GwpaError("degree tuple %r does not match rank %d" % (alpha, rank))
             if not isinstance(poly, Polynomial):
@@ -292,7 +295,7 @@ def _graded_mul(A: GradedAlgebra, left: dict, right: dict) -> dict:
             for i, (p, q) in enumerate(zip(alpha, beta)):
                 if p and q and (p > 0) != (q > 0):
                     coeff = coeff * contract(i, p, q)
-            _accumulate(out, tuple(p + q for p, q in zip(alpha, beta)), coeff)
+            _accumulate(out, tuple(map(add, alpha, beta)), coeff)
     return out
 
 
@@ -564,7 +567,8 @@ def _bracket_pairs(A: GWPAData, u: GWPAElement, v: GWPAElement) -> dict:
     p_i(d) is taken once per operand term, when a partner term first has a
     nonzero i-th coordinate, and kept (:func:`_image_rows`).  The first
     bracket is one :func:`_combination` of {d, e} and the terms of d and e
-    times those images.  P and Q depend only on the overlap pattern, so the
+    times those images; a pair with none of them and no overlap brackets to
+    zero and is skipped.  P and Q depend only on the overlap pattern, so the
     algebra keeps them (:meth:`GWPAData.overlap_factors`).
     """
     ring, partials = A.base_ring, A.partials
@@ -595,6 +599,8 @@ def _bracket_pairs(A: GWPAData, u: GWPAElement, v: GWPAElement) -> dict:
                         parts.extend((q * d_den * c, key, image) for key, c in e._terms.items())
                     if p and (p > 0) != (q > 0):
                         overlaps.append((i, min(abs(p), abs(q)), abs(p) * q))
+            if not parts and not overlaps:
+                continue  # the pair brackets to zero
             total = _combination(ring, parts, d_den * e_den) if parts else zero
             if overlaps:
                 product, correction = A.overlap_factors(tuple(overlaps))

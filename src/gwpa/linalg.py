@@ -70,7 +70,12 @@ class Echelon:
 
     def insert(self, vec: dict) -> dict | None:
         """Add a vector; returns the new pivot row, or None if the vector
-        was already in the span."""
+        was already in the span.
+
+        Scale invariant: every nonzero rational multiple of ``vec`` reduces
+        to a multiple of the same vector, so it returns the same row (or
+        None) and leaves the same ``rows``.  Bounded closures rely on this
+        when they queue rows without dividing by the pivot entry."""
         row = self.reduce(vec)
         if row is None:
             return None

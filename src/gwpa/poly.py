@@ -14,6 +14,7 @@ coefficients, so equal polynomials render to identical strings.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -115,12 +116,16 @@ class PolyRing:
             ) from None
 
     def pack(self, exps: Sequence[int]) -> int:
-        """The packed key of an exponent tuple."""
-        if len(exps) != len(self.variables) or min(exps, default=0) < 0:
+        """The packed key of an exponent tuple of nonnegative integers."""
+        try:
+            ints = [operator.index(e) for e in exps]
+        except TypeError:
+            ints = None
+        if ints is None or len(ints) != len(self.variables) or min(ints, default=0) < 0:
             raise GwpaError("invalid exponent tuple %r" % (tuple(exps),))
-        key = sum(exps)
+        key = sum(ints)
         check_degree(key)
-        for e in exps:
+        for e in ints:
             key = (key << FIELD_BITS) | e
         return key
 
@@ -144,7 +149,7 @@ class PolyRing:
         return tuple(self.var(name) for name in self.variables)
 
     def monomial(self, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return _from_values(self, {self.pack([int(e) for e in exps]): coeff})
+        return _from_values(self, {self.pack(exps): coeff})
 
     def extended(self, extra: Sequence[str]) -> "PolyRing":
         """Ring with ``extra`` variables appended after the current ones."""

@@ -274,6 +274,28 @@ def test_closure_finds_the_unit_through_a_multiplier(monkeypatch):
     assert brackets == []
 
 
+@pytest.mark.parametrize("factor", [2, Fraction(-1, 3)], ids=["2", "-1/3"])
+@pytest.mark.parametrize(
+    "make, generator, bound",
+    [
+        (lambda: p2n(2), "H1^2", 4),
+        (gr_usl2, "C", 6),
+        (lambda: gr_heisenberg(2), "Z", 4),
+        (lambda: gr_heisenberg(1), "Z^2 + 1/3*H1*Z", 5),
+    ],
+    ids=["p2n_2", "gr_usl2", "gr_heisenberg_2", "gr_heisenberg_1"],
+)
+def test_closure_does_not_depend_on_the_scale_of_a_generator(make, generator, bound, factor):
+    A = make()
+    g = parse_element(generator, A)
+    plain = poisson_ideal_closure(A, [g], bound)
+    scaled = poisson_ideal_closure(A, [factor * g], bound)
+    assert (scaled.contains_unit, scaled.overflow, scaled.stopped_early) == (
+        plain.contains_unit, plain.overflow, plain.stopped_early,
+    )
+    assert [str(u) for u in scaled.basis] == [str(u) for u in plain.basis]
+
+
 def test_closure_edge_cases():
     A = p2n(1)
     empty = poisson_ideal_closure(A, [], 2)

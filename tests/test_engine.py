@@ -596,6 +596,15 @@ def test_coefficient_rejects_a_degree_tuple_of_the_wrong_length(make):
             u.coefficient(alpha)
 
 
+@pytest.mark.parametrize("make", [lambda: p2n(1), lambda: weyl_gwa(1)], ids=["p2n_1", "weyl_1"])
+def test_elements_refuse_non_integer_degrees(make):
+    A = make()
+    for alpha in ((1.5,), (Fraction(3, 2),), ("2",), (Fraction(2),)):
+        with pytest.raises(GwpaError, match="must hold integers"):
+            A.element({alpha: 1})
+    assert A.element({(True,): 1}) == A.X(1)
+
+
 @pytest.mark.parametrize("make", [lambda: p2n(2), lambda: weyl_gwa(1)], ids=["p2n_2", "weyl_1"])
 def test_powers_by_squaring_match_repeated_products(make):
     A = make()

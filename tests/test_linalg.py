@@ -151,6 +151,20 @@ def test_echelon_agrees_with_fraction_reference(vectors):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.lists(_sparse, max_size=6), _sparse, _entry.filter(bool))
+def test_echelon_insert_does_not_depend_on_the_scale_of_a_vector(prior, vec, factor):
+    # Bounded closures queue tracker rows without dividing by the pivot and
+    # rely on this: a multiple of a vector adds the same row, or none.
+    plain, scaled = Echelon(), Echelon()
+    for row in prior:
+        plain.insert(row)
+        scaled.insert(row)
+    added = plain.insert(vec)
+    assert scaled.insert({idx: factor * value for idx, value in vec.items()}) == added
+    assert scaled.rows == plain.rows
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
         lambda cols: st.lists(st.lists(_entry, min_size=cols, max_size=cols), max_size=5)

@@ -53,6 +53,18 @@ def test_coefficient_rejects_a_tuple_of_the_wrong_length(ring):
             poly.coefficient(exps)
 
 
+def test_exponents_must_be_integers(ring):
+    C = ring.var("C")
+    for exps in ((1.5, 0), (Fraction(3, 2), 0), (Fraction(1), 0), ("1", 0)):
+        with pytest.raises(GwpaError, match="invalid exponent tuple"):
+            ring.monomial(exps)
+        with pytest.raises(GwpaError, match="invalid exponent tuple"):
+            Polynomial(ring, {exps: 1})
+        assert C.coefficient(exps) == 0
+    assert ring.monomial((True, 0)) == C
+    assert Polynomial(ring, {(True, False): 2}) == 2 * C
+
+
 def test_ring_rejects_bad_variable_names():
     with pytest.raises(GwpaError):
         PolyRing(["H", "H"])
