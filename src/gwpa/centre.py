@@ -340,8 +340,6 @@ def _vector_to_element(zero: GWPAElement, row: dict, coords, den: int = 1) -> GW
     for idx, coeff in row.items():
         _, alpha, key = coords[idx]
         terms.setdefault(alpha, {})[key] = coeff
-    if den == 1:  # int entries, all nonzero
-        return zero._new({a: _make(ring, t) for a, t in terms.items()})
     return zero._new({a: _reduced(ring, t, den) for a, t in terms.items()})
 
 

@@ -82,6 +82,15 @@ def _accumulate(out: dict, key, poly: Polynomial) -> None:
         out[key] = acc
 
 
+def _degree_tuple(alpha: Sequence[int]) -> tuple[int, ...]:
+    """The entries of a degree tuple as ints (anything with ``__index__``);
+    GwpaError for any other entry."""
+    try:
+        return tuple(map(index, alpha))
+    except TypeError:
+        raise GwpaError("degree tuple %r must hold integers" % (tuple(alpha),)) from None
+
+
 class GradedElement:
     """Element in graded normal form: a map from Z^n degrees alpha to nonzero
     base polynomial coefficients d, read as the sum of the terms d v_alpha.
@@ -98,10 +107,7 @@ class GradedElement:
         rank = algebra.rank
         clean: dict[tuple[int, ...], Polynomial] = {}
         for alpha, poly in dict(terms).items():
-            try:
-                alpha = tuple(map(index, alpha))
-            except TypeError:
-                raise GwpaError("degree tuple %r must hold integers" % (alpha,)) from None
+            alpha = _degree_tuple(alpha)
             if len(alpha) != rank:
                 raise GwpaError("degree tuple %r does not match rank %d" % (alpha, rank))
             if not isinstance(poly, Polynomial):
@@ -149,7 +155,7 @@ class GradedElement:
         alpha = tuple(alpha)
         if len(alpha) != self.algebra.rank:
             raise GwpaError("degree tuple %r does not match rank %d" % (alpha, self.algebra.rank))
-        return self._terms.get(alpha, self.algebra.base_ring.zero())
+        return self._terms.get(_degree_tuple(alpha), self.algebra.base_ring.zero())
 
     # -- arithmetic --------------------------------------------------------
 

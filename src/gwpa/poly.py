@@ -117,11 +117,8 @@ class PolyRing:
 
     def pack(self, exps: Sequence[int]) -> int:
         """The packed key of an exponent tuple of nonnegative integers."""
-        try:
-            ints = [operator.index(e) for e in exps]
-        except TypeError:
-            ints = None
-        if ints is None or len(ints) != len(self.variables) or min(ints, default=0) < 0:
+        ints = _integers(exps)
+        if len(ints) != len(self.variables) or min(ints, default=0) < 0:
             raise GwpaError("invalid exponent tuple %r" % (tuple(exps),))
         key = sum(ints)
         check_degree(key)
@@ -251,14 +248,16 @@ class Polynomial:
         return self.ring.unpack(key), _ratio(self._terms[key], self._den)
 
     def coefficient(self, exps: tuple[int, ...]) -> Coeff:
-        """The coefficient of a monomial; 0 for exponents no monomial has."""
+        """The coefficient of a monomial; 0 for integer exponents no
+        monomial has (negative, or of too high a degree)."""
         exps = tuple(exps)
         if len(exps) != self.ring.nvars:
             raise GwpaError(
                 "exponent tuple %r does not match %d variables" % (exps, self.ring.nvars)
             )
+        ints = _integers(exps)
         try:
-            key = self.ring.pack(exps)
+            key = self.ring.pack(ints)
         except GwpaError:
             return 0
         return _ratio(self._terms.get(key, 0), self._den)
@@ -454,6 +453,15 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self
+
+
+def _integers(exps: Sequence[int]) -> list[int]:
+    """The entries of an exponent tuple as ints (anything with
+    ``__index__``); GwpaError for any other entry."""
+    try:
+        return [operator.index(e) for e in exps]
+    except TypeError:
+        raise GwpaError("invalid exponent tuple %r" % (tuple(exps),)) from None
 
 
 def _make(ring: PolyRing, terms: dict, den: int = 1) -> Polynomial:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwpa import centre
 from gwpa.centre import (
     _closure_coordinates,
     centre_component,
@@ -274,26 +275,43 @@ def test_closure_finds_the_unit_through_a_multiplier(monkeypatch):
     assert brackets == []
 
 
-@pytest.mark.parametrize("factor", [2, Fraction(-1, 3)], ids=["2", "-1/3"])
+@pytest.mark.parametrize("factor", [1, 2, Fraction(-1, 3)], ids=["1", "2", "-1/3"])
 @pytest.mark.parametrize(
-    "make, generator, bound",
+    "make, generator, bound, answer, digest",
     [
-        (lambda: p2n(2), "H1^2", 4),
-        (gr_usl2, "C", 6),
-        (lambda: gr_heisenberg(2), "Z", 4),
-        (lambda: gr_heisenberg(1), "Z^2 + 1/3*H1*Z", 5),
+        (lambda: gr_heisenberg(1), "Z^2 + 1/3*H1*Z", 5, (False, 45, 46, False),
+         "fa2e822c34e211a28009ae31dd49a475f51c6735618442f24ed8a3b3122534ca"),
+        (lambda: p2n(2), "2*H1^2 + 3*X1", 4, (True, 44, 0, True),
+         "f4c80a5f396fb433a5b96db794e67376f14ec6a57c84e2c36bf0c423b8ada7c6"),
+        (gr_usl2, "2*C + 3*X1", 5, (False, 90, 0, False),
+         "9dd20cd9347cf122dab0a232a6c8e1b70c890c4d3bbae7c9d442374ae6e6e322"),
     ],
-    ids=["p2n_2", "gr_usl2", "gr_heisenberg_2", "gr_heisenberg_1"],
+    ids=["gr_heisenberg_1", "p2n_2", "gr_usl2"],
 )
-def test_closure_does_not_depend_on_the_scale_of_a_generator(make, generator, bound, factor):
+def test_closure_queues_rows_without_dividing_by_the_pivot(
+    monkeypatch, make, generator, bound, answer, digest, factor
+):
+    # The closure queues each new row as its int row, a multiple of the
+    # element the row stands for.  These generators give rows whose pivot
+    # entry is not 1, spread over several degrees for the last two, and the
+    # pinned reports were recorded when every queued row was divided by its
+    # pivot entry; a nonzero multiple of the generator must give them too.
+    to_element, pivots = centre._vector_to_element, []
+
+    def spy(zero, row, coords, *den):
+        if not den:  # a queued row, not a reported one
+            pivots.append(row[min(row)])
+        return to_element(zero, row, coords, *den)
+
+    monkeypatch.setattr(centre, "_vector_to_element", spy)
     A = make()
-    g = parse_element(generator, A)
-    plain = poisson_ideal_closure(A, [g], bound)
-    scaled = poisson_ideal_closure(A, [factor * g], bound)
-    assert (scaled.contains_unit, scaled.overflow, scaled.stopped_early) == (
-        plain.contains_unit, plain.overflow, plain.stopped_early,
-    )
-    assert [str(u) for u in scaled.basis] == [str(u) for u in plain.basis]
+    report = poisson_ideal_closure(A, [factor * parse_element(generator, A)], bound)
+    assert any(p != 1 for p in pivots)
+    rendered = [str(b) for b in report.basis]
+    assert (
+        report.contains_unit, len(rendered), report.overflow, report.stopped_early
+    ) == answer
+    assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
 
 
 def test_closure_edge_cases():

@@ -599,10 +599,14 @@ def test_coefficient_rejects_a_degree_tuple_of_the_wrong_length(make):
 @pytest.mark.parametrize("make", [lambda: p2n(1), lambda: weyl_gwa(1)], ids=["p2n_1", "weyl_1"])
 def test_elements_refuse_non_integer_degrees(make):
     A = make()
-    for alpha in ((1.5,), (Fraction(3, 2),), ("2",), (Fraction(2),)):
+    u = A.X(1)
+    for alpha in ((1.5,), (Fraction(3, 2),), ("2",), (Fraction(2),), (1.0,)):
         with pytest.raises(GwpaError, match="must hold integers"):
             A.element({alpha: 1})
-    assert A.element({(True,): 1}) == A.X(1)
+        with pytest.raises(GwpaError, match="must hold integers"):
+            u.coefficient(alpha)
+    assert A.element({(True,): 1}) == u
+    assert u.coefficient((True,)) == A.base_ring.one()
 
 
 @pytest.mark.parametrize("make", [lambda: p2n(2), lambda: weyl_gwa(1)], ids=["p2n_2", "weyl_1"])

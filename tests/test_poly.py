@@ -60,9 +60,11 @@ def test_exponents_must_be_integers(ring):
             ring.monomial(exps)
         with pytest.raises(GwpaError, match="invalid exponent tuple"):
             Polynomial(ring, {exps: 1})
-        assert C.coefficient(exps) == 0
+        with pytest.raises(GwpaError, match="invalid exponent tuple"):
+            C.coefficient(exps)
     assert ring.monomial((True, 0)) == C
     assert Polynomial(ring, {(True, False): 2}) == 2 * C
+    assert C.coefficient((True, False)) == 1
 
 
 def test_ring_rejects_bad_variable_names():
