@@ -14,7 +14,7 @@ from itertools import islice
 from math import comb, lcm
 from typing import Callable, Sequence
 
-from .engine import GWPAData, GWPAElement
+from .engine import GWPAData, GWPAElement, _degree_order
 from .errors import GwpaError
 from .linalg import Echelon, nullspace
 from .poly import Polynomial, PolyRing, _from_values, _make, _reduced, monomial_keys
@@ -146,9 +146,7 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
     central, so H_j = 0) the slice is zero without elimination, since the
     base ring is a domain; no kernel is built or counted.
     """
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != A.rank:
-        raise GwpaError("degree tuple must have length %d" % A.rank)
+    alpha = A._read_degree(alpha)
     if degree < 0:
         raise GwpaError("degree bound must be nonnegative")
     zero_slice = CentreComponent(alpha, (), degree)
@@ -199,7 +197,7 @@ def nonzero_alphas(rank: int, alpha_max: int) -> list[tuple[int, ...]]:
             rec(prefix + [x], budget - abs(x))
 
     rec([], alpha_max)
-    out.sort(key=lambda a: (sum(abs(x) for x in a), tuple(-x for x in a)))
+    out.sort(key=_degree_order)
     return out
 
 

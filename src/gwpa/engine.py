@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -45,7 +45,8 @@ from .poisson import (
     derivations_commute,
     is_poisson_derivation,
 )
-from .poly import NEG_INF, Polynomial, PolyRing, _combination, join_signed, power, term_string
+from .poly import NEG_INF, Polynomial, PolyRing, _combination, _integers, join_signed
+from .poly import normalize_coeff, power, term_string
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,10 @@ def _accumulate(out: dict, key, poly: Polynomial) -> None:
         out[key] = acc
 
 
-def _degree_tuple(alpha: Sequence[int]) -> tuple[int, ...]:
-    """The entries of a degree tuple as ints (anything with ``__index__``);
-    GwpaError for any other entry."""
-    try:
-        return tuple(map(index, alpha))
-    except TypeError:
-        raise GwpaError("degree tuple %r must hold integers" % (tuple(alpha),)) from None
+def _degree_order(alpha: tuple[int, ...]):
+    """Sort key of the grading degrees: by sum of |alpha_i|, then by
+    descending entries (X powers before Y powers)."""
+    return sum(map(abs, alpha)), tuple(-x for x in alpha)
 
 
 class GradedElement:
@@ -104,12 +102,9 @@ class GradedElement:
 
     def __init__(self, algebra: "GradedAlgebra", terms: Mapping):
         ring = algebra.base_ring
-        rank = algebra.rank
         clean: dict[tuple[int, ...], Polynomial] = {}
         for alpha, poly in dict(terms).items():
-            alpha = _degree_tuple(alpha)
-            if len(alpha) != rank:
-                raise GwpaError("degree tuple %r does not match rank %d" % (alpha, rank))
+            alpha = algebra._read_degree(alpha)
             if not isinstance(poly, Polynomial):
                 poly = ring.const(poly)
             elif poly.ring != ring:
@@ -149,13 +144,11 @@ class GradedElement:
         return self._terms.items()
 
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms, key=lambda a: (sum(map(abs, a)), tuple(-x for x in a)))
+        return sorted(self._terms, key=_degree_order)
 
     def coefficient(self, alpha: Sequence[int]) -> Polynomial:
-        alpha = tuple(alpha)
-        if len(alpha) != self.algebra.rank:
-            raise GwpaError("degree tuple %r does not match rank %d" % (alpha, self.algebra.rank))
-        return self._terms.get(_degree_tuple(alpha), self.algebra.base_ring.zero())
+        alpha = self.algebra._read_degree(alpha)
+        return self._terms.get(alpha, self.algebra.base_ring.zero())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -255,6 +248,14 @@ class GradedAlgebra:
     def zero_alpha(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
+    def _read_degree(self, alpha: Sequence[int]) -> tuple[int, ...]:
+        """A caller's grading degree as a tuple of ints of this rank;
+        GwpaError for any other entry or length."""
+        alpha = _integers(alpha, "degree tuple %r must hold integers")
+        if len(alpha) != self.rank:
+            raise GwpaError("degree tuple %r does not match rank %d" % (alpha, self.rank))
+        return alpha
+
     def element(self, terms: Mapping[tuple[int, ...], Polynomial]):
         return self.element_type(self, terms)
 
@@ -279,6 +280,7 @@ class GradedAlgebra:
         return self.v(self._unit(i, -1))
 
     def _unit(self, i: int, sign: int) -> tuple[int, ...]:
+        (i,) = _integers((i,), "generator index must be an integer, got %r")
         if not 1 <= i <= self.rank:
             raise GwpaError("generator index %d out of range 1..%d" % (i, self.rank))
         return tuple(sign if j == i - 1 else 0 for j in range(self.rank))
@@ -328,9 +330,7 @@ class GWPAElement(GradedElement):
 
     def scaled(self, factor) -> "GWPAElement":
         """Multiply every coefficient by a base polynomial or rational."""
-        return GWPAElement(
-            self.algebra, {a: p * factor for a, p in self._terms.items()}
-        )
+        return self * self.algebra.scalar(factor)
 
     __mul__ = GradedElement.__mul__  # bench/tracer.py wraps the class's own entry
 
@@ -760,7 +760,7 @@ def apply_sI(
     the image of ``u`` there, whose degrees have the selected coordinates
     negated.  Base coefficients are fixed.
     """
-    indices = sorted(set(int(i) for i in I))
+    indices = sorted(set(_integers(tuple(I), "indices %r must be integers")))
     for i in indices:
         if not 1 <= i <= A.rank:
             raise GwpaError("index %d out of range 1..%d" % (i, A.rank))
@@ -789,15 +789,14 @@ def torus_apply(u: GWPAElement, lam: Sequence) -> GWPAElement:
     This is a Poisson automorphism for any such lam.
     """
     A = u.algebra
-    lam = [Fraction(x) for x in lam]
+    lam = [normalize_coeff(x) for x in lam]
     if len(lam) != A.rank:
         raise GwpaError("need %d scale factors" % A.rank)
     if any(x == 0 for x in lam):
         raise GwpaError("scale factors must be nonzero")
     terms = {}
     for alpha, poly in u.items():
-        factor = Fraction(1)
-        for x, l in zip(alpha, lam):
-            factor *= l**x
-        terms[alpha] = poly * factor
+        for x, l in zip(alpha, lam):  # no negative powers: int ** -1 is a float
+            poly = poly * l**x if x >= 0 else poly / l**-x
+        terms[alpha] = poly
     return GWPAElement(A, terms)

@@ -35,14 +35,15 @@ _MASK = DEGREE_LIMIT - 1
 
 
 def normalize_coeff(value) -> Coeff:
-    """Return ``value`` as an int when integral, else a reduced Fraction."""
+    """Return an exact rational ``value`` as an int when integral, else a
+    reduced Fraction; GwpaError for anything else, such as a float."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):  # bool and int subclasses
-        return int(value)
-    raise TypeError("coefficient must be int or Fraction, got %r" % (value,))
+        return operator.index(value)
+    raise GwpaError("coefficient must be int or Fraction, got %r" % (value,))
 
 
 def _ratio(num: int, den: int) -> Coeff:
@@ -117,7 +118,7 @@ class PolyRing:
 
     def pack(self, exps: Sequence[int]) -> int:
         """The packed key of an exponent tuple of nonnegative integers."""
-        ints = _integers(exps)
+        ints = _integers(exps, "invalid exponent tuple %r")
         if len(ints) != len(self.variables) or min(ints, default=0) < 0:
             raise GwpaError("invalid exponent tuple %r" % (tuple(exps),))
         key = sum(ints)
@@ -255,7 +256,7 @@ class Polynomial:
             raise GwpaError(
                 "exponent tuple %r does not match %d variables" % (exps, self.ring.nvars)
             )
-        ints = _integers(exps)
+        ints = _integers(exps, "invalid exponent tuple %r")
         try:
             key = self.ring.pack(ints)
         except GwpaError:
@@ -363,7 +364,7 @@ class Polynomial:
         if isinstance(scalar, (int, Fraction)):
             if scalar == 0:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (Fraction(1) / Fraction(scalar))
+            return self * (Fraction(1) / scalar)
         return NotImplemented
 
     # -- calculus and substitution --------------------------------------
@@ -455,13 +456,14 @@ class Polynomial:
         return "Polynomial(%s)" % self
 
 
-def _integers(exps: Sequence[int]) -> list[int]:
-    """The entries of an exponent tuple as ints (anything with
-    ``__index__``); GwpaError for any other entry."""
+def _integers(values: Sequence[int], message: str) -> tuple[int, ...]:
+    """The entries of a caller's integer sequence as ints (anything with
+    ``__index__``, so ``True`` reads as 1); for any other entry GwpaError
+    with ``message``, which names the sequence as its one ``%r``."""
     try:
-        return [operator.index(e) for e in exps]
+        return tuple(map(operator.index, values))
     except TypeError:
-        raise GwpaError("invalid exponent tuple %r" % (tuple(exps),)) from None
+        raise GwpaError(message % (tuple(values),)) from None
 
 
 def _make(ring: PolyRing, terms: dict, den: int = 1) -> Polynomial:

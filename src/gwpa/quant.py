@@ -30,7 +30,7 @@ from .engine import (
 from .errors import AlgebraMismatchError, AmbientMismatchError, GwpaError
 from .linalg import rref
 from .poisson import BaseDerivation, BasePoissonAlgebra
-from .poly import NEG_INF, Polynomial, PolyRing, monomial_image, power
+from .poly import NEG_INF, Polynomial, PolyRing, _integers, monomial_image, power
 
 
 @dataclass(frozen=True, repr=False)
@@ -215,8 +215,8 @@ class GWAData(GradedAlgebra):
         self._check_base_names(ring)
         sigmas = tuple(self.sigmas)
         a = tuple(self.a)
-        weights = tuple(int(w) for w in self.weights)
-        degrees = tuple(int(d) for d in self.degrees)
+        weights = _integers(self.weights, "weights %r must be integers")
+        degrees = _integers(self.degrees, "degrees %r must be integers")
         if not sigmas:
             raise GwpaError("rank must be at least one")
         if len(a) != len(sigmas) or len(degrees) != len(sigmas):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,16 @@ def test_centre_component_rejects_a_degree_tuple_of_the_wrong_length():
     A = gr_usl2()
     with pytest.raises(GwpaError):
         centre_component(A, (0, 0), 5)
+
+
+def test_centre_component_reads_alpha_as_an_element_degree():
+    A = p2n(1)
+    for alpha in ((1.5,), ("1",), (Fraction(1),)):
+        with pytest.raises(GwpaError, match="must hold integers"):
+            centre_component(A, alpha, 2)
+    with pytest.raises(GwpaError, match=re.escape("degree tuple (0, 0) does not match rank 1")):
+        centre_component(A, (0, 0), 2)
+    assert centre_component(A, (True,), 2) == centre_component(A, (1,), 2)
 
 
 def test_negative_bounds_are_rejected():

@@ -869,6 +869,30 @@ def test_closed_pipe_exits_one_without_a_traceback():
         assert process.stderr.read() == b""
 
 
+def test_the_package_loads_only_the_standard_library():
+    """No third-party module is imported by the library or the CLI, though
+    the test environment has some installed.  Modules that ``site`` loads
+    at startup are not counted."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gwpa, gwpa.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "gwpa" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"gwpa"}
+
+
 def test_invalid_spec_reports_violations(capsys, tmp_path):
     doc = {
         "kind": "gwpa",

@@ -530,7 +530,7 @@ def test_torus_action():
     assert torus_apply(u, [1]) == u
     both = torus_apply(torus_apply(u, [2]), [3])
     assert both == torus_apply(u, [6])
-    lam = [rng.choice([2, 3, -1, "1/2"])]
+    lam = [rng.choice([2, 3, -1, Fraction(1, 2)])]
     assert torus_apply(u.bracket(v), lam) == torus_apply(u, lam).bracket(
         torus_apply(v, lam)
     )
@@ -538,6 +538,58 @@ def test_torus_action():
         torus_apply(u, [0])
     with pytest.raises(GwpaError):
         torus_apply(u, [1, 1])
+
+
+def test_indices_and_scale_factors_are_exact():
+    """Indices are integers and scale factors exact rationals; anything
+    else raises GwpaError instead of being truncated or read as a float."""
+    A = p2n(1)
+    u = A.X(1) + A.scalar(A.base_ring.var("H1")) * A.Y(1) ** 2
+    for I in ([1.7], ["1"], [Fraction(1)]):
+        with pytest.raises(GwpaError, match="indices .* must be integers"):
+            apply_sI(A, I, u)
+    assert apply_sI(A, [True], u) == apply_sI(A, [1], u)
+    for i in (1.5, 1.0, "1"):
+        with pytest.raises(GwpaError, match="generator index must be an integer"):
+            A.X(i)
+    assert A.Y(True) == A.Y(1)
+    for lam in ([0.1], ["1/2"], [None]):
+        with pytest.raises(GwpaError, match="must be int or Fraction"):
+            torus_apply(u, lam)
+    H = A.base_ring.var("H1")
+    assert torus_apply(u, [-1]) == -A.X(1) + A.scalar(H) * A.Y(1) ** 2
+    assert torus_apply(u, [Fraction(2, 3)]) == (
+        A.scalar(Fraction(2, 3)) * A.X(1) + A.scalar(Fraction(9, 4) * H) * A.Y(1) ** 2
+    )
+    assert torus_apply(u, [2]) == torus_apply(u, [Fraction(2)]) == (
+        2 * A.X(1) + A.scalar(H / 4) * A.Y(1) ** 2
+    )
+    assert torus_apply(u, [True]) == u
+    assert all(
+        type(c) in (int, Fraction)
+        for _, poly in torus_apply(u, [-1]).items()
+        for _, c in poly.items()
+    )
+
+
+def test_coefficients_are_exact_rationals():
+    A = p2n(1)
+    ring = A.base_ring
+    for attempt in (
+        lambda: A.scalar(0.5),
+        lambda: ring.const(0.5),
+        lambda: Polynomial(ring, {(1,): 0.5}),
+        lambda: A.X(1).scaled(0.5),
+        lambda: A.zero().scaled(0.5),
+        lambda: A.scalar("1/2"),
+    ):
+        with pytest.raises(GwpaError, match="must be int or Fraction"):
+            attempt()
+    assert A.X(1).scaled(True) == A.X(1)
+    assert ring.const(True) == ring.one()
+    assert A.X(1).scaled(Fraction(2, 3)) == Fraction(2, 3) * A.X(1)
+    with pytest.raises(AmbientMismatchError):
+        A.zero().scaled(PolyRing(["W"]).var("W"))
 
 
 def test_rendering():

@@ -219,6 +219,23 @@ def test_algebra_data_validation():
         GWAData(line, (scaling,), (H,), (1,), (1,))
 
 
+def test_weights_and_degrees_are_integers():
+    ring = PolyRing(["H"])
+    H = ring.var("H")
+    shift = AffineSubstitution.from_map(ring, {"H": H - 1})
+    for weights, degrees, name in (
+        ((1.5,), (1,), "weights"),
+        (("2",), (2,), "weights"),
+        ((1,), (1.9,), "degrees"),
+        ((1,), (Fraction(1),), "degrees"),
+    ):
+        with pytest.raises(GwpaError, match="^%s .* must be integers$" % name):
+            GWAData(ring, (shift,), (H,), weights, degrees)
+    flagged = GWAData(ring, (shift,), (H,), (True,), (True,))
+    assert flagged == GWAData(ring, (shift,), (H,), (1,), (1,))
+    assert type(flagged.weights[0]) is int and type(flagged.degrees[0]) is int
+
+
 def test_weyl_products():
     A = weyl_gwa(1)
     H = A.ring.var("H1")

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwpa import specfile
-from gwpa.engine import OreRealization
+from gwpa.engine import GWPAData, OreRealization
 from gwpa.errors import SpecError, ValidationFailure
-from gwpa.gallery import gr_heisenberg, gr_usl2, p2n
+from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, resolve_gallery
+from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing
 from gwpa.quant import GWAData, usl2_gwa, weyl_gwa
 from gwpa.specfile import (
@@ -61,6 +62,43 @@ def test_export_and_reimport_gwpa():
     tagged = spec_from_gwpa(A, gallery={"name": "p2n", "params": {"n": 2}})
     assert tagged.gallery == (("name", "p2n"), ("n", 2))
     assert parse_algebra_spec(render_algebra_spec(tagged)) == tagged
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("p2n_2", lambda: p2n(2)),
+        ("gr_usl2", gr_usl2),
+        ("gr_heisenberg_1", lambda: gr_heisenberg(1)),
+        ("weyl_2", lambda: weyl_gwa(2)),
+        ("usl2", usl2_gwa),
+    ],
+)
+def test_exported_specs_build_through_their_text(name, make):
+    A, meta = resolve_gallery(name)
+    export = spec_from_gwa if isinstance(A, GWAData) else spec_from_gwpa
+    spec = export(A, gallery=meta)
+    built = spec.build()
+    assert built == A == make()
+    assert spec.build() is built
+
+
+def test_exported_invalid_data_fails_to_build_with_every_violation():
+    """Data built without validation exports, but building the spec runs
+    the checks: so(3) with a = x is not central, and d/dx is not a Poisson
+    derivation of so(3)."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    base = BasePoissonAlgebra(ring, [[zero, z, -y], [-z, zero, x], [y, -x, zero]])
+    A = GWPAData(base, (x,), (BaseDerivation.partial(ring, "x"),))
+    spec = spec_from_gwpa(A)
+    with pytest.raises(SpecError) as info:
+        spec.build()
+    cause = info.value.__cause__
+    assert isinstance(cause, ValidationFailure)
+    conditions = {violation.condition for violation in cause.report.violations}
+    assert conditions == {"poisson-derivation", "central-parameter"}
 
 
 @settings(max_examples=50, deadline=None)
