@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .engine import GWPAData, GWPAElement, _degree_order
 from .errors import GwpaError
 from .linalg import Echelon, nullspace
-from .poly import Polynomial, PolyRing, _from_values, _make, _reduced, monomial_keys
+from .poly import Polynomial, PolyRing, _from_values, _integers, _make, _reduced, monomial_keys
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,15 @@ def coordinate_count(rank: int, nvars: int, degree: int) -> int:
     )
 
 
+def _bounds(message: str, *bounds: int) -> tuple[int, ...]:
+    """A caller's truncation bounds as ints, read by :func:`_integers`;
+    GwpaError ``message`` when one is negative."""
+    ints = _integers(bounds, "bounds %r must be integers")
+    if min(ints) < 0:
+        raise GwpaError(message)
+    return ints
+
+
 def _check_size(count: int, what: str, parameter: str, bound: int) -> None:
     """Refuse to build ``count`` coordinates past ``MAX_COORDINATES``."""
     if count > MAX_COORDINATES:
@@ -101,8 +110,7 @@ def _kernel_polynomials(
     deterministic: one element per free monomial in ascending graded order.
     More than ``MAX_COORDINATES`` monomials raise before any is built.
     """
-    if degree < 0:
-        raise GwpaError("degree bound must be nonnegative")
+    (degree,) = _bounds("degree bound must be nonnegative", degree)
     _check_size(
         coordinate_count(0, ring.nvars, degree),
         "monomials in a centre kernel", "degree", degree,
@@ -147,8 +155,7 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
     base ring is a domain; no kernel is built or counted.
     """
     alpha = A._read_degree(alpha)
-    if degree < 0:
-        raise GwpaError("degree bound must be nonnegative")
+    (degree,) = _bounds("degree bound must be nonnegative", degree)
     zero_slice = CentreComponent(alpha, (), degree)
     if any(x and not A.p_of_a(i).is_zero for i, x in enumerate(alpha)):
         return zero_slice
@@ -157,7 +164,8 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
         der for der in A.partials if not der.is_zero
     ]
     for j, field in enumerate(A.base.hamiltonians):
-        drift = sum((d.images[j] * k for k, d in zip(alpha, A.partials) if k), ring.zero())
+        terms = (img * k for k, d in zip(alpha, A.partials) for v, img in d.moved if k and v == j)
+        drift = sum(terms, ring.zero())
         if not field.is_zero:
             operators.append(
                 lambda lam, field=field, drift=drift: field(lam) - lam * drift
@@ -172,16 +180,8 @@ def _constant_coordinate_cover(A: GWPAData) -> bool:
     """True when every base variable is differentiated by some defining
     derivation with a nonzero constant coefficient (and nothing else),
     which forces the joint constants down to the rationals."""
-    covered = [False] * A.base_ring.nvars
-    for der in A.partials:
-        support = [
-            (v, img) for v, img in enumerate(der.images) if not img.is_zero
-        ]
-        if len(support) == 1:
-            v, img = support[0]
-            if img.is_constant:
-                covered[v] = True
-    return all(covered)
+    single = [der.moved[0] for der in A.partials if len(der.moved) == 1]
+    return len({v for v, image in single if image.is_constant}) == A.base_ring.nvars
 
 
 def nonzero_alphas(rank: int, alpha_max: int) -> list[tuple[int, ...]]:
@@ -218,8 +218,7 @@ def field_criterion(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Criteri
     ``MAX_COORDINATES``: each kernel, and the nonzero alphas of the window
     when no shortcut removes it.
     """
-    if degree < 0 or alpha_max < 0:
-        raise GwpaError("bounds must be nonnegative")
+    degree, alpha_max = _bounds("bounds must be nonnegative", degree, alpha_max)
     constants_exact = A.base.is_trivial and _constant_coordinate_cover(A)
     if not constants_exact:
         comp0 = centre_component(A, (0,) * A.rank, degree)
@@ -362,8 +361,7 @@ def poisson_ideal_closure(
     The monomial multipliers are built on first need, up to the largest
     weight budget that a queued element reaches.
     """
-    if degree < 0:
-        raise GwpaError("closure bound must be nonnegative")
+    (degree,) = _bounds("closure bound must be nonnegative", degree)
     _check_size(
         coordinate_count(A.rank, A.base_ring.nvars, degree),
         "coordinates in a closure", "degree", degree,

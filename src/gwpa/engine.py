@@ -42,6 +42,7 @@ from .errors import (
 from .poisson import (
     BaseDerivation,
     BasePoissonAlgebra,
+    _sparse,
     derivations_commute,
     is_poisson_derivation,
 )
@@ -670,9 +671,8 @@ def from_ore_data(
     big_ring = ring.extended(new_names)
     new_partials = []
     for i, der in enumerate(given.partials):
-        images = list(der.embedded(big_ring).images)
-        images[ring.nvars + i] = given.a[i].embed(big_ring)
-        new_partials.append(BaseDerivation(big_ring, tuple(images)))
+        moved = der.embedded(big_ring).moved + ((ring.nvars + i, given.a[i].embed(big_ring)),)
+        new_partials.append(_sparse(BaseDerivation, big_ring, moved))
     a = tuple(big_ring.var(name) for name in new_names)
     data = GWPAData.checked(_block_base(big_ring, [(D, {})]), a, new_partials)
 
@@ -691,16 +691,12 @@ def _block_base(
     """The base over ``ring`` whose bracket matrix is block diagonal: each
     (base, rename) in turn fills the next block, its variables renamed into
     ``ring``, and variables past the last block are central."""
-    zero = ring.zero()
-    matrix = [[zero] * ring.nvars for _ in range(ring.nvars)]
+    entries = []
     offset = 0
     for base, rename in blocks:
-        for j, row in enumerate(base.matrix):
-            for k, entry in enumerate(row):
-                if not entry.is_zero:
-                    matrix[offset + j][offset + k] = entry.embed(ring, rename)
+        entries += [(offset + j, offset + k, e.embed(ring, rename)) for j, k, e in base.entries]
         offset += base.ring.nvars
-    return BasePoissonAlgebra(ring, matrix)
+    return _sparse(BasePoissonAlgebra, ring, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ polynomials as a biderivation.  Because the Jacobiator of an antisymmetric
 biderivation is a derivation in each argument, checking the Jacobi identity
 on generator triples decides it globally; construction fails fast when the
 check fails.  The Hamiltonian derivations {-, x_k} are the matrix columns.
+Brackets and derivations keep only their nonzero entries.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Mapping, Sequence
 
-from .errors import BracketMatrixError, GwpaError, JacobiViolationError
-from .poly import Polynomial, PolyRing, _combination, _partial_terms
+from .errors import AmbientMismatchError, BracketMatrixError, GwpaError, JacobiViolationError
+from .poly import _MASK, Polynomial, PolyRing, _combination, _partial_terms
 
 
 @dataclass(frozen=True)
@@ -36,34 +37,26 @@ class JacobiReport:
 
 
 def _as_matrix(ring: PolyRing, matrix):
-    """The checked matrix as a tuple of rows, and its nonzero entries as
-    (j, k, {x_j, x_k}), row by row."""
+    """The checked matrix's nonzero entries, as (j, k, {x_j, x_k}) row by
+    row.  Only they can break antisymmetry, so the first fault in row order
+    is found among them."""
     n = ring.nvars
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise BracketMatrixError(
             "bracket matrix must be %d x %d for ring %r" % (n, n, ring)
         )
-    entries = []
-    for j, row in enumerate(rows):
-        for k, entry in enumerate(row):
-            if not isinstance(entry, Polynomial) or entry.ring != ring:
-                raise BracketMatrixError(
-                    "bracket matrix entries must be polynomials over %r" % (ring,)
-                )
-            if not entry.is_zero:
-                entries.append((j, k, entry))
-    for j in range(n):
-        if not rows[j][j].is_zero:
-            raise BracketMatrixError(
-                "bracket matrix diagonal entry %d is nonzero: %s" % (j + 1, rows[j][j])
-            )
-        for k in range(j + 1, n):
-            if rows[j][k] != -rows[k][j]:
-                raise BracketMatrixError(
-                    "bracket matrix is not antisymmetric at (%d, %d)" % (j + 1, k + 1)
-                )
-    return rows, tuple(entries)
+    if not all(isinstance(e, Polynomial) and e.ring == ring for row in rows for e in row):
+        raise BracketMatrixError("bracket matrix entries must be polynomials over %r" % (ring,))
+    entry = {(j, k): e for j, row in enumerate(rows) for k, e in enumerate(row) if e._terms}
+    faults = [(min(pair), max(pair)) for pair, e in entry.items() if entry.get(pair[::-1]) != -e]
+    if faults:
+        j, k = min(faults)
+        raise BracketMatrixError(
+            "bracket matrix diagonal entry %d is nonzero: %s" % (j + 1, rows[j][j]) if j == k
+            else "bracket matrix is not antisymmetric at (%d, %d)" % (j + 1, k + 1)
+        )
+    return tuple((j, k, e) for (j, k), e in entry.items())
 
 
 def _biderivation_bracket(ring, entries, f, g):
@@ -84,116 +77,135 @@ def _biderivation_bracket(ring, entries, f, g):
 
 
 def jacobi_check(ring: PolyRing, matrix) -> JacobiReport:
-    """Check the Jacobi identity for a candidate bracket matrix.
-
-    The matrix must already be antisymmetric with zero diagonal.  Returns
-    the first failing generator triple, if any.
-    """
-    rows, entries = _as_matrix(ring, matrix)
-    if not entries:
-        return JacobiReport()
-    gens = ring.gens()
-    n = ring.nvars
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                jac = (
-                    _biderivation_bracket(ring, entries, gens[i], rows[j][k])
-                    + _biderivation_bracket(ring, entries, gens[j], rows[k][i])
-                    + _biderivation_bracket(ring, entries, gens[k], rows[i][j])
-                )
-                if not jac.is_zero:
-                    return JacobiReport((i + 1, j + 1, k + 1), jac)
+    """Check the Jacobi identity for a candidate antisymmetric bracket
+    matrix with zero diagonal: the first failing generator triple, if any."""
+    try:
+        BasePoissonAlgebra(ring, matrix)
+    except JacobiViolationError as exc:
+        return JacobiReport(exc.triple, exc.jacobiator)
     return JacobiReport()
 
 
-@dataclass(frozen=True, repr=False)
+def _sparse(cls, ring: PolyRing, data):
+    """A ``cls`` set by its ``_fill`` from sparse ``data``, not its constructor."""
+    built = object.__new__(cls)
+    built._fill(ring, data)
+    return built
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class BasePoissonAlgebra:
     """Polynomial ring with a validated Poisson bracket on its generators.
 
     The constructor rejects matrices that are not antisymmetric or fail the
     Jacobi identity, so every live instance is a genuine Poisson algebra.
-    ``hamiltonians`` is cached on first use, outside ``==`` and hashing.
+    Only ``entries``, the nonzero (j, k, {x_j, x_k}) row by row, is read
+    by the bracket and takes part in ``==`` and hashing; the dense
+    ``matrix`` and ``hamiltonians`` are cached on first use.
     """
 
     ring: PolyRing
-    matrix: tuple[tuple[Polynomial, ...], ...]
+    entries: tuple[tuple[int, int, Polynomial], ...]
 
-    def __post_init__(self):
-        rows, entries = _as_matrix(self.ring, self.matrix)
-        report = jacobi_check(self.ring, rows)
-        if not report.holds:
-            raise JacobiViolationError(report.failing_triple, report.jacobiator)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "_entries", entries)
+    def __init__(self, ring: PolyRing, matrix):
+        self._fill(ring, _as_matrix(ring, matrix))
+
+    def _fill(self, ring, entries):
+        """Keep ``entries`` once the triples through a nonzero entry pass the
+        Jacobi check, in lexicographic order; any other has a zero Jacobiator."""
+        entry = {(j, k): value for j, k, value in entries}
+        triples = {tuple(sorted((i, j, k))) for j, k, _ in entries for i in range(ring.nvars)}
+        for i, j, k in sorted(t for t in triples if len(set(t)) == 3):
+            jac = ring.zero()
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                if (b, c) in entry:
+                    x_a = ring.var(ring.variables[a])
+                    jac = jac + _biderivation_bracket(ring, entries, x_a, entry[b, c])
+            if not jac.is_zero:
+                raise JacobiViolationError((i + 1, j + 1, k + 1), jac)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def trivial(cls, ring: PolyRing) -> "BasePoissonAlgebra":
-        zero = ring.zero()
-        n = ring.nvars
-        return cls(ring, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+        return _sparse(cls, ring, ())
 
     @property
     def is_trivial(self) -> bool:
-        return not self._entries
+        return not self.entries
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Polynomial, ...], ...]:
+        n, zero = self.ring.nvars, self.ring.zero()
+        entries = {(j, k): entry for j, k, entry in self.entries}
+        return tuple(tuple(entries.get((j, k), zero) for k in range(n)) for j in range(n))
 
     @cached_property
     def hamiltonians(self) -> tuple[BaseDerivation, ...]:
         """{-, x_k} for each k: it sends x_j to {x_j, x_k}, matrix column k."""
-        return tuple(BaseDerivation(self.ring, col) for col in zip(*self.matrix))
+        columns = [[] for _ in self.ring.variables]
+        for j, k, entry in self.entries:
+            columns[k].append((j, entry))
+        return tuple(_sparse(BaseDerivation, self.ring, column) for column in columns)
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Poisson bracket of two polynomials."""
-        return _biderivation_bracket(self.ring, self._entries, f, g)
+        return _biderivation_bracket(self.ring, self.entries, f, g)
 
     def __repr__(self):
         kind = "trivial" if self.is_trivial else "nontrivial"
         return "BasePoissonAlgebra(%r, %s bracket)" % (self.ring, kind)
 
 
-def _chain_rule(ring: PolyRing, images, key: int) -> Polynomial:
-    """The image of the packed monomial ``key`` under the derivation sending
-    the i-th variable to ``images[i]``: the sum over variables v of
-    e_v x^(key - unit_v) D(x_v)."""
-    parts = [
-        (e, key - unit, image)
-        for e, unit, image in zip(ring.unpack(key), ring.units, images)
-        if e and not image.is_zero
-    ]
+def _chain_rule(ring: PolyRing, moved, key: int) -> Polynomial:
+    """The image of the packed monomial ``key`` under the derivation moving
+    the variables ``moved``, as (field shift, unit key, image): the sum over
+    them of e_v x^(key - unit_v) D(x_v)."""
+    parts = [(e, key - unit, image) for shift, unit, image in moved if (e := (key >> shift) & _MASK)]
     return _combination(ring, parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BaseDerivation:
-    """A derivation of a polynomial ring, stored by its generator images.
+    """A derivation of a polynomial ring, built from its generator images.
 
-    Application uses the chain rule, so the map is determined by and agrees
-    with its images on generators.  The image of each monomial is memoized
-    per instance; the memo is not a field, so it takes no part in ``==``
-    or hashing.
+    Only ``moved``, the (variable index, image) pairs with a nonzero image
+    by index, drives the chain rule and takes part in ``==`` and hashing.
+    The dense ``images`` and the memo of monomial images are kept per
+    instance, outside them.
     """
 
     ring: PolyRing
-    images: tuple[Polynomial, ...]
+    moved: tuple[tuple[int, Polynomial], ...]
 
-    def __post_init__(self):
-        memo = cache(partial(_chain_rule, self.ring, self.images))
-        object.__setattr__(self, "_image_of", memo)
+    def __init__(self, ring: PolyRing, images: Sequence[Polynomial]):
+        images = tuple(images)
+        if len(images) != ring.nvars:
+            raise GwpaError("expected %d derivation images, got %d" % (ring.nvars, len(images)))
+        for image in images:
+            if not isinstance(image, Polynomial):
+                raise GwpaError("derivation images must be polynomials, got %r" % (image,))
+            if image.ring != ring:
+                raise AmbientMismatchError(ring.variables, image.ring.variables)
+        self._fill(ring, enumerate(images))
+
+    def _fill(self, ring, pairs):  # (index, image) pairs by index; zeros are dropped
+        moved = tuple((v, image) for v, image in pairs if not image.is_zero)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "moved", moved)
+        fields = tuple((ring._shifts[v], ring.units[v], image) for v, image in moved)
+        object.__setattr__(self, "_image_of", cache(partial(_chain_rule, ring, fields)))
 
     @classmethod
     def from_images(
         cls, ring: PolyRing, images: Mapping[str, Polynomial]
     ) -> "BaseDerivation":
         """Build from a name-to-image map; omitted variables map to zero."""
-        for name in images:
-            ring.index(name)
-        filled = tuple(
-            images.get(name, ring.zero()) for name in ring.variables
-        )
-        for img in filled:
-            if img.ring != ring:
+        pairs = sorted((ring.index(name), image) for name, image in images.items())
+        for _, image in pairs:
+            if not isinstance(image, Polynomial) or image.ring != ring:
                 raise GwpaError("derivation image lives in a different ring")
-        return cls(ring, filled)
+        return _sparse(cls, ring, pairs)
 
     @classmethod
     def partial(cls, ring: PolyRing, name: str) -> "BaseDerivation":
@@ -202,7 +214,12 @@ class BaseDerivation:
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "BaseDerivation":
-        return cls(ring, tuple(ring.zero() for _ in ring.variables))
+        return _sparse(cls, ring, ())
+
+    @cached_property
+    def images(self) -> tuple[Polynomial, ...]:
+        moved, zero = dict(self.moved), self.ring.zero()
+        return tuple(moved.get(v, zero) for v in range(self.ring.nvars))
 
     def image_of(self, name: str) -> Polynomial:
         return self.images[self.ring.index(name)]
@@ -213,29 +230,27 @@ class BaseDerivation:
         return f.map_monomials(self._image_of)
 
     def negated(self) -> "BaseDerivation":
-        return BaseDerivation(self.ring, tuple(-img for img in self.images))
+        return _sparse(BaseDerivation, self.ring, [(v, -img) for v, img in self.moved])
 
     def scaled(self, factor) -> "BaseDerivation":
-        return BaseDerivation(self.ring, tuple(img * factor for img in self.images))
+        return _sparse(BaseDerivation, self.ring, [(v, img * factor) for v, img in self.moved])
 
     def embedded(self, target: PolyRing, rename=None) -> "BaseDerivation":
         """Zero-extend onto a larger ring, optionally renaming variables."""
         rename = dict(rename or {})
-        images = {}
-        for name, image in zip(self.ring.variables, self.images):
-            images[rename.get(name, name)] = image.embed(target, rename)
-        return BaseDerivation.from_images(target, images)
+        names = [rename.get(name, name) for name in self.ring.variables]
+        for name in names:
+            target.index(name)  # every variable needs a place, moved or not
+        return BaseDerivation.from_images(
+            target, {names[v]: image.embed(target, rename) for v, image in self.moved}
+        )
 
     @property
     def is_zero(self) -> bool:
-        return all(img.is_zero for img in self.images)
+        return not self.moved
 
     def __repr__(self):
-        parts = [
-            "%s -> %s" % (name, img)
-            for name, img in zip(self.ring.variables, self.images)
-            if not img.is_zero
-        ]
+        parts = ["%s -> %s" % (self.ring.variables[v], img) for v, img in self.moved]
         return "BaseDerivation(%s)" % ("; ".join(parts) or "0")
 
 
@@ -245,29 +260,34 @@ def is_poisson_derivation(D: BasePoissonAlgebra, der: BaseDerivation) -> bool:
     The defect d{a,b} - {da,b} - {a,db} is a biderivation in (a, b), so
     vanishing on generator pairs decides the property.  There the brackets
     are Hamiltonian images: {d x_j, x_k} = H_k(d x_j), {x_j, d x_k} = -H_j(d x_k).
+    Only a pair with a nonzero entry, or a variable that d moves, has terms.
     """
     if der.ring != D.ring:
         raise GwpaError("derivation and Poisson algebra live over different rings")
     if D.is_trivial:  # every term of the defect is a bracket
         return True
-    H, images = D.hamiltonians, der.images
-    n = D.ring.nvars
-    for j in range(n):
-        for k in range(j + 1, n):
-            if der(D.matrix[j][k]) != H[k](images[j]) - H[j](images[k]):
-                return False
+    H, zero, images = D.hamiltonians, D.ring.zero(), dict(der.moved)
+    entries = {(j, k): entry for j, k, entry in D.entries if j < k}
+    touched = {(min(v, w), max(v, w)) for v in images for w in range(D.ring.nvars) if w != v}
+    for j, k in sorted(entries.keys() | touched):
+        expected = H[k](images.get(j, zero)) - H[j](images.get(k, zero))
+        if der(entries.get((j, k), zero)) != expected:
+            return False
     return True
 
 
 def derivations_commute(ders: Sequence[BaseDerivation]) -> bool:
     """Whether all pairs commute; a commutator of derivations is again a
-    derivation, so generator images decide it."""
+    derivation, so generator images decide it, and it kills a variable
+    that neither derivation moves."""
     for i in range(len(ders)):
         for j in range(i + 1, len(ders)):
             a, b = ders[i], ders[j]
             if a.ring != b.ring:
                 raise GwpaError("derivations live over different rings")
-            for img_b, img_a in zip(b.images, a.images):
+            images_a, images_b, zero = dict(a.moved), dict(b.moved), a.ring.zero()
+            for v in sorted(images_a.keys() | images_b.keys()):
+                img_a, img_b = images_a.get(v, zero), images_b.get(v, zero)
                 if img_a.is_constant and img_b.is_constant:
                     continue  # each term of the commutator kills a constant
                 if a(img_b) != b(img_a):

@@ -364,19 +364,15 @@ class GWAData(GradedAlgebra):
     @cached_property  # not a field, so equality and hashing ignore it
     def _predicted(self) -> GWPAData:
         """The algebra :func:`predicted_gwpa` returns, built once."""
-        ring, weights = self.ring, self.weights
+        ring, weights, nu = self.ring, self.weights, self.nu
         abar = tuple(
             a.weighted_component(weights, d) for a, d in zip(self.a, self.degrees)
         )
         partials = []
         for sigma in self.sigmas:
-            images = {}
-            for j, name in enumerate(ring.variables):
-                drop = sigma.images[j] - ring.var(name)
-                piece = drop.weighted_component(weights, weights[j] - self.nu)
-                if not piece.is_zero:
-                    images[name] = -piece
-            partials.append(BaseDerivation.from_images(ring, images))
+            drops = [image - x for image, x in zip(sigma.images, ring.gens())]
+            tops = [-drop.weighted_component(weights, w - nu) for drop, w in zip(drops, weights)]
+            partials.append(BaseDerivation(ring, tops))
         base = BasePoissonAlgebra.trivial(ring)
         return GWPAData.checked(base, abar, tuple(partials))
 

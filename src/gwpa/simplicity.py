@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 from .centre import (
     CriterionVerdict,
+    _bounds,
     _constant_coordinate_cover,
     field_criterion,
     poisson_ideal_closure,
 )
 from .engine import GWPAData
-from .errors import GwpaError
 from .poly import Polynomial, divides, univariate_gcd
 
 
@@ -66,8 +66,8 @@ def _in_univariate_family(A: GWPAData) -> bool:
     if ring.nvars != A.rank or not A.base.is_trivial:
         return False
     return all(
-        all(img.is_zero for v, img in enumerate(der.images) if v != i)
-        and {own}.issuperset(a.variables_used() + der.images[i].variables_used())
+        {own}.issuperset(a.variables_used())
+        and all(v == i and {own}.issuperset(img.variables_used()) for v, img in der.moved)
         for i, (own, a, der) in enumerate(zip(ring.variables, A.a, A.partials))
     )
 
@@ -86,11 +86,12 @@ def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
         if all(poly != seen for seen in candidates):
             candidates.append(poly)
 
+    moved = {v for der in family for v, _ in der.moved}
     for j, g in enumerate(A.base_ring.gens()):
-        if all(der.images[j].is_zero for der in family):
+        if j not in moved:
             push(g)
     for der in A.partials:
-        for img in der.images:
+        for _, img in der.moved:
             push(img)
     for a in A.a:
         push(a)
@@ -228,8 +229,7 @@ def simplicity_check(A: GWPAData, degree: int = 6, alpha_max: int = 4) -> Simpli
     other member of the family, goes through the invariant-ideal search and
     :func:`field_criterion`.
     """
-    if degree < 0 or alpha_max < 0:
-        raise GwpaError("bounds must be nonnegative")
+    degree, alpha_max = _bounds("bounds must be nonnegative", degree, alpha_max)
     family = _in_univariate_family(A)
     if family and _constant_coordinate_cover(A):
         condition1 = CriterionVerdict(

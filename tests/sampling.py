@@ -103,3 +103,34 @@ def zero_bracket_data(variables, a, partials) -> GWPAData:
         tuple(parse_polynomial(text, ring) for text in a),
         tuple(BaseDerivation.partial(ring, name) for name in partials),
     )
+
+
+#: Monomials and coefficients of the :func:`verdict_corpus` polynomials.
+CORPUS_MONOMIALS = ("1", "H", "Z", "H^2", "H*Z", "Z^2")
+CORPUS_COEFFICIENTS = (-2, -1, 1, 2)
+
+
+def corpus_polynomial(ring: PolyRing, rng: random.Random) -> Polynomial:
+    """One to three distinct corpus monomials, each times a coefficient
+    drawn in turn.  Each term is built as a product, since a text such as
+    ``2*1`` does not parse."""
+    monomials = rng.sample(CORPUS_MONOMIALS, rng.randint(1, 3))
+    return sum(
+        (ring.const(rng.choice(CORPUS_COEFFICIENTS)) * parse_polynomial(m, ring) for m in monomials),
+        ring.zero(),
+    )
+
+
+def verdict_corpus(seed: int, size: int = 200) -> list[GWPAData]:
+    """The verdict corpus of one seed: rank-1 algebras over Q[H, Z] with
+    zero bracket, each drawing a, p(H) and p(Z) in that order.  Tests and
+    benchmarks that count verdicts read this one definition."""
+    rng = random.Random(seed)
+    ring = PolyRing(["H", "Z"])
+    base = BasePoissonAlgebra.trivial(ring)
+    corpus = []
+    for _ in range(size):
+        a, p_h, p_z = (corpus_polynomial(ring, rng) for _ in range(3))
+        derivation = BaseDerivation.from_images(ring, {"H": p_h, "Z": p_z})
+        corpus.append(GWPAData.checked(base, (a,), (derivation,)))
+    return corpus

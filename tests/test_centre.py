@@ -25,6 +25,7 @@ from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
 from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing, monomial_keys
+from gwpa.simplicity import simplicity_check
 
 from oracles import dense_centre_kernel
 from sampling import so3_based, zero_bracket_data
@@ -164,6 +165,26 @@ def test_negative_bounds_are_rejected():
         field_criterion(A, -1)
     with pytest.raises(GwpaError):
         field_criterion(A, 6, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A: poisson_ideal_closure(A, [A.X(1)], 2.5),
+        lambda A: constants_basis(A, 2.5),
+        lambda A: constants_basis(A, "3"),
+        lambda A: centre_component(A, (0, 0), 2.0),
+        lambda A: field_criterion(A, 2, Fraction(3, 2)),
+        lambda A: simplicity_check(A, None),
+        lambda A: simplicity_check(A, 2, "1"),
+    ],
+    ids=["closure", "constants", "constants-text", "component", "field", "simple", "window"],
+)
+def test_truncation_bounds_must_be_integers(call):
+    """Each bound is read as an int before any work, so a float, Fraction,
+    string or None is refused as such, not met as a TypeError deep inside."""
+    with pytest.raises(GwpaError, match=r"^bounds \(.*\) must be integers$"):
+        call(p2n(2))
 
 
 def test_field_criterion_verdicts():

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from gwpa import poisson
-from gwpa.errors import BracketMatrixError, GwpaError, JacobiViolationError
+from gwpa.engine import GWPAData, _block_base, validate_gwpa
+from gwpa.errors import (
+    AmbientMismatchError,
+    BracketMatrixError,
+    GwpaError,
+    JacobiViolationError,
+)
 from gwpa.gallery import gr_usl2, p2n
 from gwpa.poisson import (
     BaseDerivation,
@@ -17,8 +26,9 @@ from gwpa.poisson import (
     is_poisson_derivation,
     jacobi_check,
 )
-from gwpa.poly import PolyRing
+from gwpa.poly import Polynomial, PolyRing
 from gwpa.quant import AffineSubstitution
+from gwpa.specfile import render_algebra_spec, spec_from_gwpa
 
 from oracles import derivation_chain_rule
 from sampling import random_polynomial
@@ -82,6 +92,61 @@ def test_matrix_shape_and_antisymmetry_rejected():
         match=r"^bracket matrix entries must be polynomials over PolyRing\(x, y\)$",
     ):
         BasePoissonAlgebra(ring, [[0, 1], [-1, 0]])
+
+
+def _first_fault(matrix) -> str | None:
+    """The fault that a scan of every entry meets first, row by row."""
+    n = len(matrix)
+    for j in range(n):
+        if not matrix[j][j].is_zero:
+            return "bracket matrix diagonal entry %d is nonzero: %s" % (j + 1, matrix[j][j])
+        for k in range(j + 1, n):
+            if matrix[j][k] != -matrix[k][j]:
+                return "bracket matrix is not antisymmetric at (%d, %d)" % (j + 1, k + 1)
+    return None
+
+
+def _jacobiator(ring, matrix, i, j, k):
+    """{x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}} from the
+    dense matrix, with {x_a, f} the sum of {x_a, x_l} df/dx_l."""
+
+    def bracket_with(a, f):
+        return sum((matrix[a][l] * f.partial(x) for l, x in enumerate(ring.variables)), ring.zero())
+
+    return bracket_with(i, matrix[j][k]) + bracket_with(j, matrix[k][i]) + bracket_with(k, matrix[i][j])
+
+
+def test_dense_matrix_checks_match_a_scan_of_every_entry():
+    """Only nonzero entries are compared and only triples through them are
+    tried, yet a caller's matrix is refused for the fault, and fails Jacobi
+    on the triple, that a scan of every entry meets first."""
+    ring = PolyRing(["a", "b", "c", "d"])
+    values = [ring.zero(), ring.one(), -ring.one(), ring.var("a"), ring.var("b") + 2]
+    rng = random.Random(31)
+    for _ in range(300):
+        matrix = [[ring.zero()] * 4 for _ in range(4)]
+        for j in range(4):
+            for k in range(j + 1, 4):
+                matrix[j][k] = rng.choice(values)
+                matrix[k][j] = -matrix[j][k]
+        for _ in range(rng.randint(0, 3)):
+            matrix[rng.randrange(4)][rng.randrange(4)] = rng.choice(values)
+        fault = _first_fault(matrix)
+        if fault is not None:
+            with pytest.raises(BracketMatrixError, match="^%s$" % re.escape(fault)):
+                jacobi_check(ring, matrix)
+            continue
+        report = jacobi_check(ring, matrix)
+        failing = [
+            (i + 1, j + 1, k + 1)
+            for i, j, k in itertools.combinations(range(4), 3)
+            if not _jacobiator(ring, matrix, i, j, k).is_zero
+        ]
+        assert report.failing_triple == (failing[0] if failing else None)
+        if report.holds:
+            assert BasePoissonAlgebra(ring, matrix).matrix == tuple(map(tuple, matrix))
+        else:
+            assert report.jacobiator == _jacobiator(ring, matrix, *(x - 1 for x in failing[0]))
 
 
 def test_jacobi_violation_detected():
@@ -283,3 +348,87 @@ def test_derivations_commute():
     foreign = BaseDerivation.partial(PolyRing(["W"]), "W")
     with pytest.raises(GwpaError, match="^derivations live over different rings$"):
         derivations_commute([d1, foreign])
+
+
+def test_derivation_constructor_refuses_malformed_images():
+    ring = PolyRing(["x", "y", "z"])
+    x, zero = ring.var("x"), ring.zero()
+    foreign = PolyRing(["a", "b", "c"])
+    u = foreign.var("b") * foreign.var("c")  # packed like y*z, which x would map to
+    with pytest.raises(AmbientMismatchError):
+        BaseDerivation(ring, (u, zero, zero))
+    with pytest.raises(GwpaError, match=r"^expected 3 derivation images, got 1$"):
+        BaseDerivation(ring, (x,))  # not a shorthand for (x, 0, 0)
+    with pytest.raises(GwpaError, match=r"^derivation images must be polynomials, got 0$"):
+        BaseDerivation(ring, (x, 0, 0))
+    assert BaseDerivation(ring, (x, zero, zero)) == BaseDerivation.from_images(ring, {"x": x})
+
+
+def test_validation_reads_grow_quadratically_in_the_rank(monkeypatch):
+    """``validate_gwpa(p2n(n))`` checks each of the C(n, 2) derivation
+    pairs on the two variables they move, so its ``is_constant`` reads grow
+    about 4x per doubling of n.  Scanning every image of every pair read
+    7,600, 62,400 and 505,600 times, 8.1x per doubling."""
+    algebras = [p2n(n) for n in (20, 40, 80)]
+    reads = []
+    is_constant = Polynomial.is_constant.fget
+    monkeypatch.setattr(
+        Polynomial, "is_constant", property(lambda p: reads.append(1) or is_constant(p))
+    )
+    counts = []
+    for A in algebras:
+        reads.clear()
+        assert validate_gwpa(A).ok
+        counts.append(len(reads))
+    assert all(later <= 4.5 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+
+def _random_images(ring, rng):
+    return [
+        random_polynomial(ring, rng, 2, 2) if rng.random() < 0.5 else ring.zero()
+        for _ in ring.variables
+    ]
+
+
+@pytest.mark.parametrize("bracket", ["zero", "so3"])
+def test_sparse_base_data_matches_its_dense_input(bracket):
+    """The dense views equal the dense input, and the same data built
+    through the library's sparse routes compares, hashes and exports
+    alike."""
+    if bracket == "zero":
+        ring = PolyRing(["x", "y", "z", "w"])
+        matrix = [[ring.zero()] * 4 for _ in range(4)]
+        internal_base = BasePoissonAlgebra.trivial(ring)
+    else:
+        ring = so3().ring
+        matrix = [list(row) for row in so3().matrix]
+        internal_base = _block_base(ring, [(so3(), {})])
+    base = BasePoissonAlgebra(ring, matrix)
+    assert base.matrix == tuple(map(tuple, matrix))
+    assert base == internal_base and hash(base) == hash(internal_base)
+    for column, field in zip(zip(*matrix), internal_base.hamiltonians):
+        dense = BaseDerivation(ring, column)
+        assert dense == field and hash(dense) == hash(field)
+    rng = random.Random(27 if bracket == "zero" else 28)
+    for _ in range(25):
+        images = _random_images(ring, rng)
+        dense = BaseDerivation(ring, images)
+        named = {name: img for name, img in zip(ring.variables, images) if not img.is_zero}
+        built = [
+            BaseDerivation.from_images(ring, named),
+            dense.negated().negated(),
+            dense.scaled(ring.one()),
+            dense.embedded(ring),
+        ]
+        assert dense.images == tuple(images)
+        for other in built:
+            assert other == dense and hash(other) == hash(dense)
+            assert other.images == tuple(images)
+        a = random_polynomial(ring, rng, 2, 2)
+        text = render_algebra_spec(spec_from_gwpa(GWPAData(base, (a,), (dense,))))
+        doc = json.loads(text)
+        assert doc["bracket"] == [[str(entry) for entry in row] for row in matrix]
+        assert doc["partials"] == [[str(image) for image in images]]
+        assert text == render_algebra_spec(
+            spec_from_gwpa(GWPAData(internal_base, (a,), (built[0],)))
+        )

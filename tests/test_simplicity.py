@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from gwpa.poly import PolyRing
 from gwpa.simplicity import simplicity_check
 
 from oracles import dense_coefficients, dense_remainder, derivation_chain_rule
-from sampling import random_family, zero_bracket_data
+from sampling import random_family, verdict_corpus, zero_bracket_data
 
 
 def test_planes_are_simple():
@@ -279,3 +281,37 @@ def test_report_records_bounds():
     report = simplicity_check(p2n(1), degree=5, alpha_max=3)
     assert report.degree == 5
     assert report.alpha_max == 3
+
+
+#: The most undecided verdicts the corpus may give, seeds 0-2.  A limit may
+#: only be lowered, as exact arguments land; raising one loosens the check.
+CORPUS_UNDECIDED = {"condition1": 374, "condition2": 185, "condition3": 512, "overall": 134}
+#: Each corpus algebra's statuses, recorded: seed, index, then the three
+#: conditions and the overall status.
+CORPUS_STATUSES = Path(__file__).parent / "data" / "verdict_corpus.txt"
+
+
+def test_verdict_corpus_ratchet():
+    """Over the corpus, each undecided count stays within its limit, and
+    a recorded exact status never changes: a status may only move from
+    undecided to exact."""
+    recorded = {}
+    for line in CORPUS_STATUSES.read_text().splitlines():
+        if line and not line.startswith("#"):
+            seed, index, *statuses = line.split()
+            recorded[int(seed), int(index)] = statuses
+    undecided = dict.fromkeys(CORPUS_UNDECIDED, 0)
+    moved = []
+    for seed in range(3):
+        for index, A in enumerate(verdict_corpus(seed)):
+            report = simplicity_check(A, 4, 3)
+            statuses = [
+                verdict.status for verdict in (report.condition1, report.condition2, report.condition3)
+            ] + [report.overall]
+            for key, status, old in zip(CORPUS_UNDECIDED, statuses, recorded[seed, index]):
+                undecided[key] += status == "undecided"
+                if old != "undecided" and status != old:
+                    moved.append((seed, index, key, old, status))
+    assert len(recorded) == 600
+    assert moved == []
+    assert all(undecided[key] <= limit for key, limit in CORPUS_UNDECIDED.items()), undecided
