@@ -164,8 +164,7 @@ def centre_component(A: GWPAData, alpha: Sequence[int], degree: int) -> CentreCo
         der for der in A.partials if not der.is_zero
     ]
     for j, field in enumerate(A.base.hamiltonians):
-        terms = (img * k for k, d in zip(alpha, A.partials) for v, img in d.moved if k and v == j)
-        drift = sum(terms, ring.zero())
+        drift = sum((d.images[j] * k for k, d in zip(alpha, A.partials) if k), ring.zero())
         if not field.is_zero:
             operators.append(
                 lambda lam, field=field, drift=drift: field(lam) - lam * drift

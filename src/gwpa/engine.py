@@ -42,7 +42,6 @@ from .errors import (
 from .poisson import (
     BaseDerivation,
     BasePoissonAlgebra,
-    _sparse,
     derivations_commute,
     is_poisson_derivation,
 )
@@ -672,7 +671,7 @@ def from_ore_data(
     new_partials = []
     for i, der in enumerate(given.partials):
         moved = der.embedded(big_ring).moved + ((ring.nvars + i, given.a[i].embed(big_ring)),)
-        new_partials.append(_sparse(BaseDerivation, big_ring, moved))
+        new_partials.append(object.__new__(BaseDerivation)._fill(big_ring, moved))
     a = tuple(big_ring.var(name) for name in new_names)
     data = GWPAData.checked(_block_base(big_ring, [(D, {})]), a, new_partials)
 
@@ -696,7 +695,7 @@ def _block_base(
     for base, rename in blocks:
         entries += [(offset + j, offset + k, e.embed(ring, rename)) for j, k, e in base.entries]
         offset += base.ring.nvars
-    return _sparse(BasePoissonAlgebra, ring, tuple(entries))
+    return object.__new__(BasePoissonAlgebra)._fill(ring, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,7 @@ def _as_matrix(ring: PolyRing, matrix):
     n = ring.nvars
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != n or any(len(row) != n for row in rows):
-        raise BracketMatrixError(
-            "bracket matrix must be %d x %d for ring %r" % (n, n, ring)
-        )
+        raise BracketMatrixError("bracket matrix must be %d x %d for ring %r" % (n, n, ring))
     if not all(isinstance(e, Polynomial) and e.ring == ring for row in rows for e in row):
         raise BracketMatrixError("bracket matrix entries must be polynomials over %r" % (ring,))
     entry = {(j, k): e for j, row in enumerate(rows) for k, e in enumerate(row) if e._terms}
@@ -86,13 +84,6 @@ def jacobi_check(ring: PolyRing, matrix) -> JacobiReport:
     return JacobiReport()
 
 
-def _sparse(cls, ring: PolyRing, data):
-    """A ``cls`` set by its ``_fill`` from sparse ``data``, not its constructor."""
-    built = object.__new__(cls)
-    built._fill(ring, data)
-    return built
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class BasePoissonAlgebra:
     """Polynomial ring with a validated Poisson bracket on its generators.
@@ -101,7 +92,8 @@ class BasePoissonAlgebra:
     Jacobi identity, so every live instance is a genuine Poisson algebra.
     Only ``entries``, the nonzero (j, k, {x_j, x_k}) row by row, is read
     by the bracket and takes part in ``==`` and hashing; the dense
-    ``matrix`` and ``hamiltonians`` are cached on first use.
+    ``matrix`` and ``hamiltonians`` are cached on first use.  Internal
+    builds fill a bare instance from sparse data with ``_fill``.
     """
 
     ring: PolyRing
@@ -125,10 +117,11 @@ class BasePoissonAlgebra:
                 raise JacobiViolationError((i + 1, j + 1, k + 1), jac)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", entries)
+        return self
 
     @classmethod
     def trivial(cls, ring: PolyRing) -> "BasePoissonAlgebra":
-        return _sparse(cls, ring, ())
+        return object.__new__(cls)._fill(ring, ())
 
     @property
     def is_trivial(self) -> bool:
@@ -146,7 +139,7 @@ class BasePoissonAlgebra:
         columns = [[] for _ in self.ring.variables]
         for j, k, entry in self.entries:
             columns[k].append((j, entry))
-        return tuple(_sparse(BaseDerivation, self.ring, column) for column in columns)
+        return tuple(object.__new__(BaseDerivation)._fill(self.ring, c) for c in columns)
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Poisson bracket of two polynomials."""
@@ -161,7 +154,7 @@ def _chain_rule(ring: PolyRing, moved, key: int) -> Polynomial:
     """The image of the packed monomial ``key`` under the derivation moving
     the variables ``moved``, as (field shift, unit key, image): the sum over
     them of e_v x^(key - unit_v) D(x_v)."""
-    parts = [(e, key - unit, image) for shift, unit, image in moved if (e := (key >> shift) & _MASK)]
+    parts = [(e, key - unit, img) for shift, unit, img in moved if (e := (key >> shift) & _MASK)]
     return _combination(ring, parts)
 
 
@@ -172,7 +165,8 @@ class BaseDerivation:
     Only ``moved``, the (variable index, image) pairs with a nonzero image
     by index, drives the chain rule and takes part in ``==`` and hashing.
     The dense ``images`` and the memo of monomial images are kept per
-    instance, outside them.
+    instance, outside them.  Internal builds fill a bare instance from
+    (index, image) pairs with ``_fill``.
     """
 
     ring: PolyRing
@@ -182,30 +176,29 @@ class BaseDerivation:
         images = tuple(images)
         if len(images) != ring.nvars:
             raise GwpaError("expected %d derivation images, got %d" % (ring.nvars, len(images)))
-        for image in images:
+        self._fill(ring, tuple(enumerate(images)))
+
+    def _fill(self, ring, pairs):  # (index, image) pairs by index; zeros are dropped
+        for _, image in pairs:  # the one check of every image, however it was built
             if not isinstance(image, Polynomial):
                 raise GwpaError("derivation images must be polynomials, got %r" % (image,))
             if image.ring != ring:
                 raise AmbientMismatchError(ring.variables, image.ring.variables)
-        self._fill(ring, enumerate(images))
-
-    def _fill(self, ring, pairs):  # (index, image) pairs by index; zeros are dropped
         moved = tuple((v, image) for v, image in pairs if not image.is_zero)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "moved", moved)
         fields = tuple((ring._shifts[v], ring.units[v], image) for v, image in moved)
         object.__setattr__(self, "_image_of", cache(partial(_chain_rule, ring, fields)))
+        return self
 
     @classmethod
-    def from_images(
-        cls, ring: PolyRing, images: Mapping[str, Polynomial]
-    ) -> "BaseDerivation":
+    def from_images(cls, ring: PolyRing, images: Mapping[str, Polynomial]) -> "BaseDerivation":
         """Build from a name-to-image map; omitted variables map to zero."""
         pairs = sorted((ring.index(name), image) for name, image in images.items())
-        for _, image in pairs:
-            if not isinstance(image, Polynomial) or image.ring != ring:
-                raise GwpaError("derivation image lives in a different ring")
-        return _sparse(cls, ring, pairs)
+        try:
+            return object.__new__(cls)._fill(ring, pairs)
+        except AmbientMismatchError:  # the text this constructor has always given
+            raise GwpaError("derivation image lives in a different ring") from None
 
     @classmethod
     def partial(cls, ring: PolyRing, name: str) -> "BaseDerivation":
@@ -214,7 +207,7 @@ class BaseDerivation:
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "BaseDerivation":
-        return _sparse(cls, ring, ())
+        return object.__new__(cls)._fill(ring, ())
 
     @cached_property
     def images(self) -> tuple[Polynomial, ...]:
@@ -230,10 +223,11 @@ class BaseDerivation:
         return f.map_monomials(self._image_of)
 
     def negated(self) -> "BaseDerivation":
-        return _sparse(BaseDerivation, self.ring, [(v, -img) for v, img in self.moved])
+        return self.scaled(-1)
 
     def scaled(self, factor) -> "BaseDerivation":
-        return _sparse(BaseDerivation, self.ring, [(v, img * factor) for v, img in self.moved])
+        moved = [(v, img * factor) for v, img in self.moved]
+        return object.__new__(BaseDerivation)._fill(self.ring, moved)
 
     def embedded(self, target: PolyRing, rename=None) -> "BaseDerivation":
         """Zero-extend onto a larger ring, optionally renaming variables."""
@@ -260,19 +254,17 @@ def is_poisson_derivation(D: BasePoissonAlgebra, der: BaseDerivation) -> bool:
     The defect d{a,b} - {da,b} - {a,db} is a biderivation in (a, b), so
     vanishing on generator pairs decides the property.  There the brackets
     are Hamiltonian images: {d x_j, x_k} = H_k(d x_j), {x_j, d x_k} = -H_j(d x_k).
-    Only a pair with a nonzero entry, or a variable that d moves, has terms.
     """
     if der.ring != D.ring:
         raise GwpaError("derivation and Poisson algebra live over different rings")
     if D.is_trivial:  # every term of the defect is a bracket
         return True
-    H, zero, images = D.hamiltonians, D.ring.zero(), dict(der.moved)
-    entries = {(j, k): entry for j, k, entry in D.entries if j < k}
-    touched = {(min(v, w), max(v, w)) for v in images for w in range(D.ring.nvars) if w != v}
-    for j, k in sorted(entries.keys() | touched):
-        expected = H[k](images.get(j, zero)) - H[j](images.get(k, zero))
-        if der(entries.get((j, k), zero)) != expected:
-            return False
+    H, images = D.hamiltonians, der.images
+    n = D.ring.nvars
+    for j in range(n):
+        for k in range(j + 1, n):
+            if der(D.matrix[j][k]) != H[k](images[j]) - H[j](images[k]):
+                return False
     return True
 
 

@@ -105,7 +105,9 @@ def zero_bracket_data(variables, a, partials) -> GWPAData:
     )
 
 
-#: Monomials and coefficients of the :func:`verdict_corpus` polynomials.
+#: Algebras per seed, and the monomials and coefficients of their
+#: polynomials, in the :func:`verdict_corpus`.
+CORPUS_SIZE = 200
 CORPUS_MONOMIALS = ("1", "H", "Z", "H^2", "H*Z", "Z^2")
 CORPUS_COEFFICIENTS = (-2, -1, 1, 2)
 
@@ -115,13 +117,13 @@ def corpus_polynomial(ring: PolyRing, rng: random.Random) -> Polynomial:
     drawn in turn.  Each term is built as a product, since a text such as
     ``2*1`` does not parse."""
     monomials = rng.sample(CORPUS_MONOMIALS, rng.randint(1, 3))
-    return sum(
-        (ring.const(rng.choice(CORPUS_COEFFICIENTS)) * parse_polynomial(m, ring) for m in monomials),
-        ring.zero(),
+    terms = (
+        ring.const(rng.choice(CORPUS_COEFFICIENTS)) * parse_polynomial(m, ring) for m in monomials
     )
+    return sum(terms, ring.zero())
 
 
-def verdict_corpus(seed: int, size: int = 200) -> list[GWPAData]:
+def verdict_corpus(seed: int) -> list[GWPAData]:
     """The verdict corpus of one seed: rank-1 algebras over Q[H, Z] with
     zero bracket, each drawing a, p(H) and p(Z) in that order.  Tests and
     benchmarks that count verdicts read this one definition."""
@@ -129,7 +131,7 @@ def verdict_corpus(seed: int, size: int = 200) -> list[GWPAData]:
     ring = PolyRing(["H", "Z"])
     base = BasePoissonAlgebra.trivial(ring)
     corpus = []
-    for _ in range(size):
+    for _ in range(CORPUS_SIZE):
         a, p_h, p_z = (corpus_polynomial(ring, rng) for _ in range(3))
         derivation = BaseDerivation.from_images(ring, {"H": p_h, "Z": p_z})
         corpus.append(GWPAData.checked(base, (a,), (derivation,)))

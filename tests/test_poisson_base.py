@@ -361,6 +361,8 @@ def test_derivation_constructor_refuses_malformed_images():
         BaseDerivation(ring, (x,))  # not a shorthand for (x, 0, 0)
     with pytest.raises(GwpaError, match=r"^derivation images must be polynomials, got 0$"):
         BaseDerivation(ring, (x, 0, 0))
+    with pytest.raises(GwpaError, match=r"^derivation images must be polynomials, got 0$"):
+        BaseDerivation.from_images(ring, {"y": 0})  # one check serves both constructors
     assert BaseDerivation(ring, (x, zero, zero)) == BaseDerivation.from_images(ring, {"x": x})
 
 
