@@ -12,9 +12,10 @@ ones.  The Poisson bracket is determined by
 for d in D, all brackets between generators of different index vanishing.
 Elements are kept in graded normal form at all times.  The bracket of two
 elements is the bilinear sum of a closed form for each pair of basis terms,
-computed by one kernel (:func:`_bracket_pairs`): the derivation images of
-each operand term are taken once and kept on the element, each pair's
-base part is one accumulation (:func:`gwpa.poly._combination`), and the
+computed by one kernel (:func:`_bracket_pairs`): the images of each
+operand term under the p_i and the Hamiltonian derivations {-, x_k} are
+taken once and kept on the element, each pair's base part, base bracket
+included, is one accumulation (:func:`gwpa.poly._combination`), and the
 overlap product P and its correction Q, which depend only on where the two
 terms meet in opposite signs, are kept on the algebra per overlap pattern.
 
@@ -45,7 +46,7 @@ from .poisson import (
     derivations_commute,
     is_poisson_derivation,
 )
-from .poly import NEG_INF, Polynomial, PolyRing, _combination, _integers, join_signed
+from .poly import _MASK, NEG_INF, Polynomial, PolyRing, _combination, _integers, join_signed
 from .poly import normalize_coeff, power, term_string
 
 
@@ -490,19 +491,24 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
                     )
                 )
                 break
+    # p_i(a_j) is zero unless a_j uses a variable that p_i moves
+    movers: dict[str, list[int]] = {}
     for i, der in enumerate(data.partials):
-        for j, poly in enumerate(data.a):
-            if i != j:
-                image = der(poly)
-                if not image.is_zero:
-                    violations.append(
-                        Violation(
-                            "cross-constant",
-                            (i + 1, j + 1),
-                            "derivation %d must annihilate parameter %d, got %s"
-                            % (i + 1, j + 1, image),
-                        )
-                    )
+        for v, _ in der.moved:
+            movers.setdefault(names[v], []).append(i)
+    pairs = {(i, j) for j, poly in enumerate(data.a) for name in poly.variables_used()
+             for i in movers.get(name, ()) if i != j}
+    for i, j in sorted(pairs):
+        image = data.partials[i](data.a[j])
+        if not image.is_zero:
+            violations.append(
+                Violation(
+                    "cross-constant",
+                    (i + 1, j + 1),
+                    "derivation %d must annihilate parameter %d, got %s"
+                    % (i + 1, j + 1, image),
+                )
+            )
     return ValidationReport(tuple(violations))
 
 
@@ -542,13 +548,16 @@ def render_element(u: GWPAElement) -> str:
 # -- bracket core -------------------------------------------------------------
 
 def _image_rows(A: GWPAData, element: GWPAElement) -> dict:
-    """The derivation images of the coefficients of ``element``: per degree
-    alpha, a list whose i-th entry is p_i(d) for the coefficient d, None
-    until a bracket first needs it.  The map lives on the element, so every
-    later bracket reuses it; it is not part of ``==`` or hashing."""
+    """The images of the coefficients of ``element`` under the derivation
+    family ``A.partials + A.base.hamiltonians``: per degree alpha, a list
+    whose i-th entry is p_i(d) for the coefficient d and, when the base
+    bracket is nonzero, whose (rank + k)-th entry is {d, x_k}; None until a
+    bracket first needs it.  The map lives on the element, so every later
+    bracket reuses it; it is not part of ``==`` or hashing."""
     rows = getattr(element, "_images", None)
     if rows is None:
-        zeros, unknown = [A.base_ring.zero()] * A.rank, [None] * A.rank
+        width = A.rank + (A.base_ring.nvars if A.base.entries else 0)
+        zeros, unknown = [A.base_ring.zero()] * width, [None] * width
         rows = element._images = {
             alpha: (zeros if d.is_constant else unknown).copy()
             for alpha, d in element._terms.items()
@@ -569,51 +578,76 @@ def _bracket_pairs(A: GWPAData, u: GWPAElement, v: GWPAElement) -> dict:
 
         ({d, e} - d.E_alpha(e) + e.E_beta(d)) P + d e Q
 
-    carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.  Each image
-    p_i(d) is taken once per operand term, when a partner term first has a
-    nonzero i-th coordinate, and kept (:func:`_image_rows`).  The first
-    bracket is one :func:`_combination` of {d, e} and the terms of d and e
-    times those images; a pair with none of them and no overlap brackets to
-    zero and is skipped.  P and Q depend only on the overlap pattern, so the
-    algebra keeps them (:meth:`GWPAData.overlap_factors`).
+    carried by v_{alpha+beta}, where E_alpha = sum alpha_i p_i.  The base
+    bracket is {d, e} = sum_k {d, x_k} de/dx_k.  Each image p_i(d) is taken
+    once per operand term, when a partner term first has a nonzero i-th
+    coordinate, and each Hamiltonian image {d, x_k} when a partner term
+    first uses x_k; both are kept (:func:`_image_rows`).  The first bracket
+    is then one :func:`_combination` of the terms of d and e times those
+    images; a pair with none of them and no overlap brackets to zero and is
+    skipped.  P and Q depend only on the overlap pattern, so the algebra
+    keeps them (:meth:`GWPAData.overlap_factors`).
     """
-    ring, partials = A.base_ring, A.partials
+    ring, partials, base = A.base_ring, A.partials, A.base
     zero = ring.zero()
-    bracket = None if A.base.is_trivial else A.base.bracket
+    fields = ()  # (row slot, field shift, unit key, x_k) per moving Hamiltonian column
+    if base.entries:
+        fields = [
+            (A.rank + k, ring._shifts[k], ring.units[k], ring.var(name))
+            for k, (name, H) in enumerate(zip(ring.variables, base.hamiltonians))
+            if H.moved
+        ]
     rows_u, rows_v = _image_rows(A, u), _image_rows(A, v)
     out: dict = {}
-    for alpha, d in u._terms.items():
-        d_row, d_den = rows_u[alpha], d._den
-        for beta, e in v._terms.items():
-            e_row, e_den = rows_v[beta], e._den
-            # {d, e} - d E_alpha(e) + e E_beta(d), over d_den * e_den
-            parts = [] if bracket is None else [(d_den * e_den, 0, bracket(d, e))]
-            overlaps = []
-            for i, p in enumerate(alpha):
-                q = beta[i]
-                if p:
-                    image = e_row[i]
+    try:
+        for alpha, d in u._terms.items():
+            d_row, d_den = rows_u[alpha], d._den
+            for beta, e in v._terms.items():
+                e_row, e_den = rows_v[beta], e._den
+                # {d, e} - d E_alpha(e) + e E_beta(d), over d_den * e_den
+                parts = []
+                for slot, shift, unit, x in fields:
+                    image = d_row[slot]
                     if image is None:
-                        image = e_row[i] = partials[i](e)
+                        if not any((key >> shift) & _MASK for key in e._terms):
+                            continue
+                        image = d_row[slot] = base.bracket(d, x)
                     if image._terms:
-                        parts.extend((-p * e_den * c, key, image) for key, c in d._terms.items())
-                if q:
-                    image = d_row[i]
-                    if image is None:
-                        image = d_row[i] = partials[i](d)
-                    if image._terms:
-                        parts.extend((q * d_den * c, key, image) for key, c in e._terms.items())
-                    if p and (p > 0) != (q > 0):
-                        overlaps.append((i, min(abs(p), abs(q)), abs(p) * q))
-            if not parts and not overlaps:
-                continue  # the pair brackets to zero
-            total = _combination(ring, parts, d_den * e_den) if parts else zero
-            if overlaps:
-                product, correction = A.overlap_factors(tuple(overlaps))
-                total = total * product
-                if correction._terms:
-                    total = total + d * e * correction
-            _accumulate(out, tuple(map(add, alpha, beta)), total)
+                        parts.extend(
+                            (c * n * d_den, key - unit, image)
+                            for key, c in e._terms.items()
+                            if (n := (key >> shift) & _MASK)
+                        )
+                overlaps = []
+                for i, p in enumerate(alpha):
+                    q = beta[i]
+                    if p:
+                        image = e_row[i]
+                        if image is None:
+                            image = e_row[i] = partials[i](e)
+                        if image._terms:
+                            parts.extend((-p * e_den * c, key, image) for key, c in d._terms.items())
+                    if q:
+                        image = d_row[i]
+                        if image is None:
+                            image = d_row[i] = partials[i](d)
+                        if image._terms:
+                            parts.extend((q * d_den * c, key, image) for key, c in e._terms.items())
+                        if p and (p > 0) != (q > 0):
+                            overlaps.append((i, min(abs(p), abs(q)), abs(p) * q))
+                if not parts and not overlaps:
+                    continue  # the pair brackets to zero
+                total = _combination(ring, parts, d_den * e_den) if parts else zero
+                if overlaps:
+                    product, correction = A.overlap_factors(tuple(overlaps))
+                    total = total * product
+                    if correction._terms:
+                        total = total + d * e * correction
+                _accumulate(out, tuple(map(add, alpha, beta)), total)
+    except GwpaError:
+        if fields:  # name the degree of {d, e} when it alone passes the limit
+            base.bracket(d, e)
+        raise
     return out
 
 

@@ -17,7 +17,7 @@ from .engine import GWPAData
 from .errors import GwpaError
 from .parser import parse_polynomial
 from .poisson import BaseDerivation, BasePoissonAlgebra
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _make
 from .quant import usl2_gwa, weyl_gwa
 
 
@@ -95,7 +95,7 @@ def univariate_family(
                 raise GwpaError(
                     "%s_%d must live over %r" % (which, i, ring)
                 )
-            poly = entry
+            poly = _make(ring, entry._terms, entry._den)  # so ring checks are identity tests
         else:
             raise GwpaError("%s_%d must be a string or polynomial" % (which, i))
         used = poly.variables_used()

@@ -2,11 +2,12 @@
 
 A base Poisson algebra is a polynomial ring together with an antisymmetric
 bracket matrix on its generators.  The bracket extends to arbitrary
-polynomials as a biderivation.  Because the Jacobiator of an antisymmetric
-biderivation is a derivation in each argument, checking the Jacobi identity
-on generator triples decides it globally; construction fails fast when the
-check fails.  The Hamiltonian derivations {-, x_k} are the matrix columns.
-Brackets and derivations keep only their nonzero entries.
+polynomials as a biderivation, evaluated through the Hamiltonian
+derivations {-, x_k}, the matrix columns.  Because the Jacobiator of an
+antisymmetric biderivation is a derivation in each argument, checking the
+Jacobi identity on generator triples decides it globally; construction
+fails fast when the check fails.  Brackets and derivations keep only their
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -57,23 +58,6 @@ def _as_matrix(ring: PolyRing, matrix):
     return tuple((j, k, e) for (j, k), e in entry.items())
 
 
-def _biderivation_bracket(ring, entries, f, g):
-    """{f, g}: the sum of df/dx_j dg/dx_k {x_j, x_k} over the nonzero
-    ``entries`` of the bracket matrix, as one :func:`_combination` over the
-    term pairs of each df/dx_j and dg/dx_k, weighted by the entry."""
-    if not entries or f.is_constant or g.is_constant:
-        return ring.zero()
-    partials_f = {j: _partial_terms(f, j) for j in {j for j, _, _ in entries}}
-    partials_g = {k: _partial_terms(g, k) for k in {k for _, k, _ in entries}}
-    parts = [
-        (c1 * c2, k1 + k2, entry)
-        for j, k, entry in entries
-        for k1, c1 in partials_f[j]
-        for k2, c2 in partials_g[k]
-    ]
-    return _combination(ring, parts, f._den * g._den)
-
-
 def jacobi_check(ring: PolyRing, matrix) -> JacobiReport:
     """Check the Jacobi identity for a candidate antisymmetric bracket
     matrix with zero diagonal: the first failing generator triple, if any."""
@@ -104,19 +88,19 @@ class BasePoissonAlgebra:
 
     def _fill(self, ring, entries):
         """Keep ``entries`` once the triples through a nonzero entry pass the
-        Jacobi check, in lexicographic order; any other has a zero Jacobiator."""
+        Jacobi check, in lexicographic order; any other has a zero Jacobiator.
+        The check reads :meth:`bracket`, so the entries are set first."""
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "entries", entries)
         entry = {(j, k): value for j, k, value in entries}
         triples = {tuple(sorted((i, j, k))) for j, k, _ in entries for i in range(ring.nvars)}
         for i, j, k in sorted(t for t in triples if len(set(t)) == 3):
             jac = ring.zero()
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 if (b, c) in entry:
-                    x_a = ring.var(ring.variables[a])
-                    jac = jac + _biderivation_bracket(ring, entries, x_a, entry[b, c])
+                    jac = jac + self.bracket(ring.var(ring.variables[a]), entry[b, c])
             if not jac.is_zero:
                 raise JacobiViolationError((i + 1, j + 1, k + 1), jac)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", entries)
         return self
 
     @classmethod
@@ -142,8 +126,21 @@ class BasePoissonAlgebra:
         return tuple(object.__new__(BaseDerivation)._fill(self.ring, c) for c in columns)
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Poisson bracket of two polynomials."""
-        return _biderivation_bracket(self.ring, self.entries, f, g)
+        """Poisson bracket of two polynomials: the sum over the variables x_k
+        of g of {f, x_k} dg/dx_k, where the Hamiltonian image {f, x_k} is
+        ``hamiltonians[k](f)`` and reads that derivation's monomial memo."""
+        ring = self.ring
+        if not self.entries or f.is_constant or g.is_constant:
+            return ring.zero()
+        for p in (f, g):
+            if p.ring != ring:
+                raise AmbientMismatchError(ring.variables, p.ring.variables)
+        parts = []
+        for k, field in enumerate(self.hamiltonians):
+            terms = field.moved and _partial_terms(g, k)
+            if terms and (image := field(f))._terms:
+                parts += [(c, key, image) for key, c in terms]
+        return _combination(ring, parts, g._den)
 
     def __repr__(self):
         kind = "trivial" if self.is_trivial else "nontrivial"

@@ -154,7 +154,7 @@ class PolyRing:
         return PolyRing(self.variables + tuple(extra))
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.variables == other.variables
+        return self is other or isinstance(other, PolyRing) and self.variables == other.variables
 
     def __hash__(self):
         return hash(self.variables)
@@ -233,13 +233,18 @@ class Polynomial:
         return _reduced(self.ring, picked, self._den)
 
     def variables_used(self) -> tuple[str, ...]:
-        """Names of variables appearing with nonzero exponent."""
-        used = 0
+        """Names of variables appearing with nonzero exponent, in ring order:
+        the nonzero exponent fields of the union of the keys, read from the
+        top down, so the cost follows the variables used, not the ring's."""
+        used, top, names = 0, self.ring.top, []
         for key in self._terms:
             used |= key
-        return tuple(
-            v for v, s in zip(self.ring.variables, self.ring._shifts) if (used >> s) & _MASK
-        )
+        used &= (1 << top) - 1  # the exponent fields, without the degree
+        while used:
+            shift = (used.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            names.append(self.ring.variables[(top - shift) // FIELD_BITS - 1])
+            used &= (1 << shift) - 1
+        return tuple(names)
 
     def leading_term(self) -> tuple[tuple[int, ...], Coeff]:
         """Exponents and coefficient of the graded-lex largest monomial."""

@@ -12,7 +12,12 @@ each term pair with cached derivation images) except the product, so
 agreement checks that closed form and its caching.
 :func:`derivation_chain_rule` applies a derivation term
 by term from its generator images, as a check on the memoized
-:meth:`BaseDerivation.__call__`.  :class:`TuplePolynomial` is the plain
+:meth:`BaseDerivation.__call__`.  :func:`biderivation_bracket` is the base
+bracket from the dense matrix and formal partials, the reference for the
+Hamiltonian form of :meth:`BasePoissonAlgebra.bracket`, which
+:func:`bracket_split` itself reads for coefficient atoms.
+:func:`validation_all_pairs` is :func:`gwpa.engine.validate_gwpa` with no
+index pair skipped.  :class:`TuplePolynomial` is the plain
 arithmetic on exponent tuples and Fraction coefficients that the packed
 :class:`gwpa.poly.Polynomial` kernel must agree with.  :class:`FractionEchelon`
 and :func:`fraction_rref` are the eliminator on Fraction rows, normalized
@@ -31,9 +36,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from gwpa.engine import GWPAData, GWPAElement
+from gwpa.engine import GWPAData, GWPAElement, ValidationReport, Violation
 from gwpa.errors import GwpaError
-from gwpa.poisson import BaseDerivation
+from gwpa.poisson import BaseDerivation, BasePoissonAlgebra, derivations_commute, is_poisson_derivation
 from gwpa.poly import Polynomial
 
 # Atoms are ("c", polynomial) for base coefficients and ("X", i) / ("Y", i)
@@ -183,6 +188,53 @@ def derivation_chain_rule(der: BaseDerivation, f: Polynomial) -> Polynomial:
                 lowered = exps[:v] + (e - 1,) + exps[v + 1 :]
                 out = out + ring.monomial(lowered, coeff * e) * image
     return out
+
+
+def biderivation_bracket(base: BasePoissonAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
+    """{f, g} as the sum over every entry of the dense bracket matrix of
+    {x_j, x_k} df/dx_j dg/dx_k, with the formal partials of
+    :meth:`Polynomial.partial`: the reference for the Hamiltonian form of
+    :meth:`BasePoissonAlgebra.bracket`."""
+    names = base.ring.variables
+    return sum(
+        (
+            entry * f.partial(names[j]) * g.partial(names[k])
+            for j, row in enumerate(base.matrix)
+            for k, entry in enumerate(row)
+        ),
+        base.ring.zero(),
+    )
+
+
+def validation_all_pairs(data: GWPAData) -> ValidationReport:
+    """The report of :func:`gwpa.engine.validate_gwpa` from its checks in
+    their order, each over every index pair with no pair skipped; p_i(a_j)
+    is taken by :func:`derivation_chain_rule`."""
+    base, partials, n = data.base, data.partials, data.rank
+    found = [
+        Violation("poisson-derivation", (i + 1,), "derivation %d does not respect the base bracket" % (i + 1))
+        for i, der in enumerate(partials)
+        if not is_poisson_derivation(base, der)
+    ]
+    found += [
+        Violation("commuting-derivations", (i + 1, j + 1), "derivations %d and %d do not commute" % (i + 1, j + 1))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not derivations_commute((partials[i], partials[j]))
+    ]
+    for i, poly in enumerate(data.a):
+        for name, g in zip(base.ring.variables, base.ring.gens()):
+            diff = biderivation_bracket(base, poly, g)
+            if not diff.is_zero:
+                detail = "parameter %d is not Poisson central: {a, %s} = %s" % (i + 1, name, diff)
+                found.append(Violation("central-parameter", (i + 1,), detail))
+                break
+    for i, der in enumerate(partials):
+        for j, poly in enumerate(data.a):
+            if i != j and not (image := derivation_chain_rule(der, poly)).is_zero:
+                detail = "derivation %d must annihilate parameter %d, got %s" % (i + 1, j + 1, image)
+                found.append(Violation("cross-constant", (i + 1, j + 1), detail))
+    return ValidationReport(tuple(found))
 
 
 def _normal(value):

@@ -94,6 +94,18 @@ def so3_based():
     return GWPAData.checked(base, (casimir,), (hamiltonian,))
 
 
+def heisenberg_based():
+    """Rank-1 algebra over {x, y} = z with z central, a = 1 and the weight
+    derivation p = x d/dx + y d/dy + 2z d/dz: H_z is zero while the drift
+    alpha * 2z is not, so every slice alpha != 0 is zero per generator."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    base = BasePoissonAlgebra(ring, [[zero, z, zero], [-z, zero, zero], [zero] * 3])
+    weight = BaseDerivation.from_images(ring, {"x": x, "y": y, "z": 2 * z})
+    return GWPAData.checked(base, (ring.one(),), (weight,))
+
+
 def zero_bracket_data(variables, a, partials) -> GWPAData:
     """Checked data over a zero-bracket base: parameters as text and one
     coordinate derivation d/dv per named variable v."""

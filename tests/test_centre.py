@@ -19,16 +19,15 @@ from gwpa.centre import (
     nonzero_alphas,
     poisson_ideal_closure,
 )
-from gwpa.engine import GWPAData, GWPAElement
+from gwpa.engine import GWPAElement
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
-from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing, monomial_keys
 from gwpa.simplicity import simplicity_check
 
 from oracles import dense_centre_kernel
-from sampling import so3_based, zero_bracket_data
+from sampling import heisenberg_based, so3_based, zero_bracket_data
 
 
 def test_degree_enumeration():
@@ -113,20 +112,8 @@ def _zero_bracket_families(draw):
     return univariate_family([own(i) for i in range(rank)], [own(i) for i in range(rank)])
 
 
-def _heisenberg_based():
-    """Rank-1 algebra over {x, y} = z with z central, a = 1 and the weight
-    derivation p = x d/dx + y d/dy + 2z d/dz: H_z is zero while the drift
-    alpha * 2z is not, so every slice alpha != 0 is zero per generator."""
-    ring = PolyRing(["x", "y", "z"])
-    x, y, z = ring.gens()
-    zero = ring.zero()
-    base = BasePoissonAlgebra(ring, [[zero, z, zero], [-z, zero, zero], [zero] * 3])
-    weight = BaseDerivation.from_images(ring, {"x": x, "y": y, "z": 2 * z})
-    return GWPAData.checked(base, (ring.one(),), (weight,))
-
-
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(st.just(so3_based()), st.just(_heisenberg_based()), _zero_bracket_families()))
+@given(st.one_of(st.just(so3_based()), st.just(heisenberg_based()), _zero_bracket_families()))
 def test_centre_component_matches_dense_kernel(A):
     # so(3) and Heisenberg have a nonzero bracket; univariate data a zero
     # one, so every shortcut of the sparse kernel meets the dense reference.

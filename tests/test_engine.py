@@ -32,8 +32,14 @@ from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import Polynomial, PolyRing
 from gwpa.quant import AffineSubstitution, GWAData, weyl_gwa
 
-from oracles import bracket_oracle_graded, bracket_split
+from oracles import (
+    biderivation_bracket,
+    bracket_oracle_graded,
+    bracket_split,
+    validation_all_pairs,
+)
 from sampling import (
+    heisenberg_based,
     nonzero_element,
     random_element,
     random_family,
@@ -211,6 +217,40 @@ def test_bracket_applies_each_derivation_once_per_term(make, monkeypatch):
     assert calls and max(calls.values()) == 1
     for g, (ug, gu) in zip(gens, results):
         assert ug == bracket_split(u, g) == -gu
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([so3_based(), heisenberg_based()]), st.integers(0, 2 ** 32))
+def test_brackets_over_a_nonzero_base_match_the_biderivation_oracle(A, seed):
+    # bracket_split reads A.base.bracket for coefficient atoms, so the base
+    # bracket is checked against the dense matrix first.
+    rng = random.Random(seed)
+    f, g = (random_polynomial(A.base_ring, rng, 3, 3) for _ in range(2))
+    assert A.base.bracket(f, g) == biderivation_bracket(A.base, f, g)
+    u, v = (nonzero_element(A, rng, bound=3, terms=3) for _ in range(2))
+    assert u.bracket(v) == bracket_split(u, v)
+
+
+def test_so3_bracket_takes_each_hamiltonian_image_once_per_term(monkeypatch):
+    # {d, e} is folded from {d, x_k} for the three variables, so a 6-term u
+    # needs at most 6 * 3 base brackets, not one per term pair (36).
+    A = so3_based()
+    x, y, z = A.base_ring.gens()
+    u = A.element({(k,): x * y + k * z ** 2 for k in range(-2, 4)})
+    v = A.element({(k,): (x - k) * z + y ** 2 for k in range(-3, 3)})
+    calls = []
+    original = BasePoissonAlgebra.bracket
+
+    def counted(base, f, g):
+        calls.append((f, g))
+        return original(base, f, g)
+
+    monkeypatch.setattr(BasePoissonAlgebra, "bracket", counted)
+    result = u.bracket(v)
+    monkeypatch.undo()
+    assert len(u.terms()) == len(v.terms()) == 6
+    assert 0 < len(calls) <= 6 * 3
+    assert result == bracket_split(u, v)
 
 
 @pytest.mark.parametrize("make", [lambda: p2n(2), lambda: gr_heisenberg(2)], ids=["p2n_2", "gr_heisenberg_2"])
@@ -825,6 +865,61 @@ def test_validation_violations():
         GWPAData(trivial, (foreign.var("W"),), (twisted,))
     with pytest.raises(GwpaError, match="^derivation lives over a different ring$"):
         GWPAData(trivial, (H1,), (BaseDerivation.partial(foreign, "W"),))
+
+
+def test_cross_constant_reads_the_whole_exponent_field():
+    # p_1 = d/dH1 moves H1, which a_2 = H1^2 uses with exponent 2: a skip
+    # that tested only the lowest bit of the field would miss this pair.
+    ring = PolyRing(["H1", "H2"])
+    H1, _ = ring.gens()
+    data = GWPAData(
+        BasePoissonAlgebra.trivial(ring),
+        (H1, H1 ** 2),
+        (BaseDerivation.partial(ring, "H1"), BaseDerivation.partial(ring, "H2")),
+    )
+    assert [str(v) for v in validate_gwpa(data).violations] == [
+        "cross-constant[1, 2]: derivation 1 must annihilate parameter 2, got 2*H1"
+    ]
+
+
+_VALIDATION_BASES = (
+    BasePoissonAlgebra.trivial(PolyRing(["H1", "H2", "H3"])),
+    so3_based().base,
+    heisenberg_based().base,
+)
+
+
+@st.composite
+def _validation_data(draw):
+    """Unchecked data of rank 1 to 3 whose parameters and derivation images
+    are small sums of monomials with exponents up to 2, so every check can
+    fail and p_i(a_j) meets exponents above 1."""
+    base = draw(st.sampled_from(_VALIDATION_BASES))
+    ring = base.ring
+    gens = ring.gens()
+    monomials = [ring.one(), *gens, gens[0] ** 2, gens[0] * gens[1], gens[2] ** 2]
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), st.sampled_from([1, -1, 2])), max_size=2))
+        return sum((m * c for m, c in terms), ring.zero())
+
+    rank = draw(st.integers(1, 3))
+    a = tuple(poly() for _ in range(rank))
+    return GWPAData(base, a, tuple(BaseDerivation(ring, [poly() for _ in gens]) for _ in range(rank)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_validation_data())
+def test_validation_matches_the_all_pairs_reference(data):
+    assert validate_gwpa(data) == validation_all_pairs(data)
+
+
+def test_p2n_parameters_live_over_the_family_ring():
+    # so each derivation call and ring comparison in validation is an
+    # identity test, not a comparison of the n variable names
+    A = p2n(5)
+    assert all(a.ring is A.base_ring for a in A.a)
+    assert all(der.ring is A.base_ring for der in A.partials)
 
 
 def test_univariate_family_constructor():

@@ -10,7 +10,6 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from gwpa import poisson
 from gwpa.engine import GWPAData, _block_base, validate_gwpa
 from gwpa.errors import (
     AmbientMismatchError,
@@ -169,13 +168,13 @@ def test_jacobi_violation_detected():
 
 def test_jacobi_check_skips_an_all_zero_matrix(monkeypatch):
     calls = []
-    original = poisson._biderivation_bracket
+    original = BasePoissonAlgebra.bracket
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(poisson, "_biderivation_bracket", counted)
+    monkeypatch.setattr(BasePoissonAlgebra, "bracket", counted)
     ring = PolyRing(["H%d" % i for i in range(1, 61)])
     assert jacobi_check(ring, [[ring.zero()] * 60 for _ in range(60)]).holds
     assert calls == []  # 3 * C(60, 3) = 102,660 calls if every triple were tried
@@ -193,6 +192,16 @@ def test_jacobi_violation_found_among_central_variables():
     assert (report.holds, report.failing_triple, report.jacobiator) == (False, (2, 4, 5), -x)
     with pytest.raises(JacobiViolationError):
         BasePoissonAlgebra(ring, matrix)
+
+
+def test_base_bracket_refuses_a_polynomial_over_another_ring():
+    algebra = so3()
+    x = algebra.ring.var("x")
+    for other in (PolyRing(["w"]), PolyRing(["x", "y", "w"])):
+        w = other.var("w")
+        for f, g in ((x, w), (w, x)):
+            with pytest.raises(AmbientMismatchError):
+                algebra.bracket(f, g)
 
 
 def test_bracket_axioms_randomized():
