@@ -38,7 +38,12 @@ from typing import Sequence
 
 from gwpa.engine import GWPAData, GWPAElement, ValidationReport, Violation
 from gwpa.errors import GwpaError
-from gwpa.poisson import BaseDerivation, BasePoissonAlgebra, derivations_commute, is_poisson_derivation
+from gwpa.poisson import (
+    BaseDerivation,
+    BasePoissonAlgebra,
+    derivations_commute,
+    is_poisson_derivation,
+)
 from gwpa.poly import Polynomial
 
 # Atoms are ("c", polynomial) for base coefficients and ("X", i) / ("Y", i)
@@ -212,12 +217,16 @@ def validation_all_pairs(data: GWPAData) -> ValidationReport:
     is taken by :func:`derivation_chain_rule`."""
     base, partials, n = data.base, data.partials, data.rank
     found = [
-        Violation("poisson-derivation", (i + 1,), "derivation %d does not respect the base bracket" % (i + 1))
+        Violation(
+            "poisson-derivation", (i + 1,), "derivation %d does not respect the base bracket" % (i + 1)
+        )
         for i, der in enumerate(partials)
         if not is_poisson_derivation(base, der)
     ]
     found += [
-        Violation("commuting-derivations", (i + 1, j + 1), "derivations %d and %d do not commute" % (i + 1, j + 1))
+        Violation(
+            "commuting-derivations", (i + 1, j + 1), "derivations %d and %d do not commute" % (i + 1, j + 1)
+        )
         for i in range(n)
         for j in range(i + 1, n)
         if not derivations_commute((partials[i], partials[j]))
@@ -232,7 +241,9 @@ def validation_all_pairs(data: GWPAData) -> ValidationReport:
     for i, der in enumerate(partials):
         for j, poly in enumerate(data.a):
             if i != j and not (image := derivation_chain_rule(der, poly)).is_zero:
-                detail = "derivation %d must annihilate parameter %d, got %s" % (i + 1, j + 1, image)
+                detail = "derivation %d must annihilate parameter %d, got %s" % (
+                    i + 1, j + 1, image
+                )
                 found.append(Violation("cross-constant", (i + 1, j + 1), detail))
     return ValidationReport(tuple(found))
 

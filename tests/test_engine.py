@@ -900,12 +900,15 @@ def _validation_data(draw):
     monomials = [ring.one(), *gens, gens[0] ** 2, gens[0] * gens[1], gens[2] ** 2]
 
     def poly():
-        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), st.sampled_from([1, -1, 2])), max_size=2))
+        terms = draw(
+            st.lists(st.tuples(st.sampled_from(monomials), st.sampled_from([1, -1, 2])), max_size=2)
+        )
         return sum((m * c for m, c in terms), ring.zero())
 
     rank = draw(st.integers(1, 3))
     a = tuple(poly() for _ in range(rank))
-    return GWPAData(base, a, tuple(BaseDerivation(ring, [poly() for _ in gens]) for _ in range(rank)))
+    partials = tuple(BaseDerivation(ring, [poly() for _ in gens]) for _ in range(rank))
+    return GWPAData(base, a, partials)
 
 
 @settings(max_examples=150, deadline=None)
