@@ -458,7 +458,6 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
     base = data.base
     gens = base.ring.gens()
     names = base.ring.variables
-    n = data.rank
     for i, der in enumerate(data.partials):
         if not is_poisson_derivation(base, der):
             violations.append(
@@ -468,16 +467,26 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
                     "derivation %d does not respect the base bracket" % (i + 1),
                 )
             )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not derivations_commute((data.partials[i], data.partials[j])):
-                violations.append(
-                    Violation(
-                        "commuting-derivations",
-                        (i + 1, j + 1),
-                        "derivations %d and %d do not commute" % (i + 1, j + 1),
-                    )
-                )
+    # p(f) = 0 unless f uses a variable that p moves, and a commutator of
+    # derivations is a derivation, so p_i(a_j) needs checking only then, and
+    # [p_i, p_j] only when one moves a variable that an image of the other uses
+    movers: dict[str, list[int]] = {}
+    for i, der in enumerate(data.partials):
+        for v, _ in der.moved:
+            movers.setdefault(names[v], []).append(i)
+
+    def acting(polys, j) -> set[int]:
+        return {i for poly in polys for name in poly.variables_used()
+                for i in movers.get(name, ()) if i != j}
+
+    linked = {(min(i, j), max(i, j)) for j, der in enumerate(data.partials)
+              for i in acting([image for _, image in der.moved], j)}
+    violations += [
+        Violation("commuting-derivations", (i + 1, j + 1),
+                  "derivations %d and %d do not commute" % (i + 1, j + 1))
+        for i, j in sorted(linked)
+        if not derivations_commute((data.partials[i], data.partials[j]))
+    ]
     for i, poly in enumerate(data.a):
         for g, name in zip(gens, names):
             diff = base.bracket(poly, g)
@@ -491,24 +500,12 @@ def validate_gwpa(data: GWPAData) -> ValidationReport:
                     )
                 )
                 break
-    # p_i(a_j) is zero unless a_j uses a variable that p_i moves
-    movers: dict[str, list[int]] = {}
-    for i, der in enumerate(data.partials):
-        for v, _ in der.moved:
-            movers.setdefault(names[v], []).append(i)
-    pairs = {(i, j) for j, poly in enumerate(data.a) for name in poly.variables_used()
-             for i in movers.get(name, ()) if i != j}
-    for i, j in sorted(pairs):
-        image = data.partials[i](data.a[j])
-        if not image.is_zero:
-            violations.append(
-                Violation(
-                    "cross-constant",
-                    (i + 1, j + 1),
-                    "derivation %d must annihilate parameter %d, got %s"
-                    % (i + 1, j + 1, image),
-                )
-            )
+    violations += [
+        Violation("cross-constant", (i + 1, j + 1),
+                  "derivation %d must annihilate parameter %d, got %s" % (i + 1, j + 1, image))
+        for i, j in sorted((i, j) for j, poly in enumerate(data.a) for i in acting([poly], j))
+        if not (image := data.partials[i](data.a[j])).is_zero
+    ]
     return ValidationReport(tuple(violations))
 
 

@@ -17,7 +17,8 @@ bracket from the dense matrix and formal partials, the reference for the
 Hamiltonian form of :meth:`BasePoissonAlgebra.bracket`, which
 :func:`bracket_split` itself reads for coefficient atoms.
 :func:`validation_all_pairs` is :func:`gwpa.engine.validate_gwpa` with no
-index pair skipped.  :class:`TuplePolynomial` is the plain
+index pair skipped, each pair of derivations decided by its commutator on
+every generator (:func:`commutator_image`).  :class:`TuplePolynomial` is the plain
 arithmetic on exponent tuples and Fraction coefficients that the packed
 :class:`gwpa.poly.Polynomial` kernel must agree with.  :class:`FractionEchelon`
 and :func:`fraction_rref` are the eliminator on Fraction rows, normalized
@@ -27,7 +28,11 @@ of all its conditions, the reference for the sparse kernel and its
 shortcuts.  :func:`dense_univariate_gcd` is Euclid's algorithm on dense
 Fraction coefficient lists, the reference for
 :func:`gwpa.poly.univariate_gcd`; :func:`dense_remainder` on the same lists
-also checks divisibility of simplicity witnesses.
+also checks divisibility of simplicity witnesses.  :func:`check_verdict`
+checks an exact simplicity verdict from its witness or from the premise of
+its shortcut with these routines and :func:`divides_exactly`, a division
+on exponent tuples, and none of the centre, simplicity or bracket-kernel
+code that produced the verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from gwpa.errors import GwpaError
 from gwpa.poisson import (
     BaseDerivation,
     BasePoissonAlgebra,
-    derivations_commute,
     is_poisson_derivation,
 )
 from gwpa.poly import Polynomial
@@ -195,6 +199,12 @@ def derivation_chain_rule(der: BaseDerivation, f: Polynomial) -> Polynomial:
     return out
 
 
+def commutator_image(first: BaseDerivation, second: BaseDerivation, f: Polynomial) -> Polynomial:
+    """[first, second](f) by :func:`derivation_chain_rule`, with no memo."""
+    chain = derivation_chain_rule
+    return chain(first, chain(second, f)) - chain(second, chain(first, f))
+
+
 def biderivation_bracket(base: BasePoissonAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     """{f, g} as the sum over every entry of the dense bracket matrix of
     {x_j, x_k} df/dx_j dg/dx_k, with the formal partials of
@@ -214,8 +224,10 @@ def biderivation_bracket(base: BasePoissonAlgebra, f: Polynomial, g: Polynomial)
 def validation_all_pairs(data: GWPAData) -> ValidationReport:
     """The report of :func:`gwpa.engine.validate_gwpa` from its checks in
     their order, each over every index pair with no pair skipped; p_i(a_j)
-    is taken by :func:`derivation_chain_rule`."""
+    and the commutator of each pair on every generator are taken by
+    :func:`derivation_chain_rule`."""
     base, partials, n = data.base, data.partials, data.rank
+    gens = base.ring.gens()
     found = [
         Violation(
             "poisson-derivation", (i + 1,), "derivation %d does not respect the base bracket" % (i + 1)
@@ -229,10 +241,10 @@ def validation_all_pairs(data: GWPAData) -> ValidationReport:
         )
         for i in range(n)
         for j in range(i + 1, n)
-        if not derivations_commute((partials[i], partials[j]))
+        if not all(commutator_image(partials[i], partials[j], g).is_zero for g in gens)
     ]
     for i, poly in enumerate(data.a):
-        for name, g in zip(base.ring.variables, base.ring.gens()):
+        for name, g in zip(base.ring.variables, gens):
             diff = biderivation_bracket(base, poly, g)
             if not diff.is_zero:
                 detail = "parameter %d is not Poisson central: {a, %s} = %s" % (i + 1, name, diff)
@@ -517,3 +529,114 @@ def dense_univariate_gcd(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
          for e, c in enumerate(a)),
         ring.zero(),
     )
+
+
+# -- independent checks of simplicity verdicts ---------------------------------
+
+
+def _graded(exps: tuple[int, ...]) -> tuple:
+    return sum(exps), exps
+
+
+def divides_exactly(c: Polynomial, f: Polynomial) -> bool:
+    """Whether the nonzero c divides f, by dividing leading terms in graded
+    order on exponent tuples and Fraction coefficients.  A single divisor
+    is a Groebner basis of its ideal, so the division stops at zero exactly
+    when c divides f; a leading term that c's does not divide ends it."""
+    divisor = {exps: Fraction(coeff) for exps, coeff in c.items()}
+    lead = max(divisor, key=_graded)
+    rest = {exps: Fraction(coeff) for exps, coeff in f.items()}
+    while rest:
+        top = max(rest, key=_graded)
+        shift = tuple(e - d for e, d in zip(top, lead))
+        if min(shift) < 0:
+            return False
+        factor = rest[top] / divisor[lead]
+        for exps, coeff in divisor.items():
+            key = tuple(e + s for e, s in zip(exps, shift))
+            rest[key] = rest.get(key, 0) - factor * coeff
+            if not rest[key]:
+                del rest[key]
+    return True
+
+
+def _value(f: Polynomial, point: Sequence[int]) -> Fraction:
+    total = Fraction(0)
+    for exps, coeff in f.items():
+        term = Fraction(coeff)
+        for x, e in zip(point, exps):
+            term *= x**e
+        total += term
+    return total
+
+
+def _coordinate_cover(A: GWPAData) -> bool:
+    """Whether every base variable is the only one some p_i moves, by a
+    nonzero constant: then no proper ideal is stable under the p_i, and the
+    constants of the p_i are the rationals."""
+    covered = set()
+    for der in A.partials:
+        moved = [(v, image) for v, image in enumerate(der.images) if not image.is_zero]
+        if len(moved) == 1 and moved[0][1].is_constant:
+            covered.add(moved[0][0])
+    return len(covered) == A.base_ring.nvars
+
+
+def check_verdict(A: GWPAData, condition: int, verdict) -> None:
+    """Assert that an exact verdict on simplicity condition 1, 2 or 3 is
+    borne out by its witness, or by the premise its shortcut names, with
+    the routines of this module only; an undecided verdict passes.
+
+    Condition 1 fails on a nonconstant c that divides its image under every
+    p_i and every {-, x_k}, and holds on a coordinate cover.  Condition 2
+    fails on a zero pair, on a nonconstant common divisor of some a_i and
+    p_i(a_i), or, with no witness, on their common zero on the grid of
+    ``simplicity`` ({-2..2}^n up to four variables, else the origin); it
+    holds when each pair has a nonzero constant or a univariate gcd of 1.
+    Condition 3 fails on a central non-unit, and holds on a zero base
+    bracket with a coordinate cover and every p_i(a_i) nonzero.
+    """
+    ring, status, witness = A.base_ring, verdict.status, verdict.witness
+    if status == "undecided":
+        return
+    assert status in ("holds", "fails"), status
+    gens = ring.gens()
+    pairs = [(a, derivation_chain_rule(der, a)) for a, der in zip(A.a, A.partials)]
+    if (condition, status) == (1, "fails"):
+        images = [derivation_chain_rule(der, witness) for der in A.partials]
+        images += [biderivation_bracket(A.base, witness, g) for g in gens]
+        assert not witness.is_constant and all(divides_exactly(witness, f) for f in images)
+    elif (condition, status) == (2, "fails") and witness is None:
+        grid = [(0,) * ring.nvars]
+        if ring.nvars <= 4:
+            grid = product(range(-2, 3), repeat=ring.nvars)
+        assert any(_value(f, p) == 0 == _value(g, p) for p in grid for f, g in pairs)
+    elif (condition, status) == (2, "fails") and witness.is_zero:
+        assert any(f.is_zero and g.is_zero for f, g in pairs)
+    elif (condition, status) == (2, "fails"):
+        assert not witness.is_constant
+        assert any(divides_exactly(witness, f) and divides_exactly(witness, g) for f, g in pairs)
+    elif (condition, status) == (2, "holds"):
+        for f, g in pairs:
+            if not any(h.is_constant and not h.is_zero for h in (f, g)):
+                used = set(f.variables_used()) | set(g.variables_used())
+                assert len(used) == 1, used
+                assert dense_univariate_gcd(f, g, used.pop()) == ring.one()
+    elif (condition, status) == (3, "fails"):
+        if isinstance(witness, Polynomial):
+            alpha, lam = (0,) * A.rank, witness
+        else:
+            ((alpha, lam),) = witness.items()
+        firsts = [*gens, *(A.X(i) for i in range(1, A.rank + 1))]
+        firsts += [A.Y(i) for i in range(1, A.rank + 1)]
+        assert all(not bracket_oracle_graded(A, u, lam, alpha).items() for u in firsts)
+        assert not (
+            lam.is_constant and not lam.is_zero
+            and all(a.is_constant and not a.is_zero for a, x in zip(A.a, alpha) if x)
+        ), "%s is a unit" % witness
+    elif condition == 3:
+        assert all(entry.is_zero for row in A.base.matrix for entry in row)
+        assert _coordinate_cover(A) and all(not g.is_zero for _, g in pairs)
+    else:
+        assert condition == 1, condition
+        assert _coordinate_cover(A)

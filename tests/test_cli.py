@@ -910,6 +910,19 @@ def test_invalid_spec_reports_violations(capsys, tmp_path):
     assert "commuting-derivations" in err
 
 
+def test_rank3_violation_report_is_pinned(capsys):
+    # p_1 = d/dx, p_2 = x d/dy + z d/dz, p_3 = z d/dz: (1, 2) is linked
+    # through the image x and does not commute, (2, 3) is linked through z
+    # and commutes, (1, 3) is unlinked; p_2 moves parameter 3 = z^2 + y
+    assert run(capsys, "validate", str(ROOT / "tests" / "specs" / "noncommuting_3.json")) == (
+        1,
+        "",
+        "error: invalid algebra data\n"
+        "  commuting-derivations[1, 2]: derivations 1 and 2 do not commute\n"
+        "  cross-constant[2, 3]: derivation 2 must annihilate parameter 3, got 2*z^2 + x\n",
+    )
+
+
 def test_ore_spec_file_is_realized(capsys, tmp_path):
     doc = {
         "kind": "ore",

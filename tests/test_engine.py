@@ -891,9 +891,11 @@ _VALIDATION_BASES = (
 
 @st.composite
 def _validation_data(draw):
-    """Unchecked data of rank 1 to 3 whose parameters and derivation images
+    """Unchecked data of rank 1 to 4 whose parameters and derivation images
     are small sums of monomials with exponents up to 2, so every check can
-    fail and p_i(a_j) meets exponents above 1."""
+    fail, p_i(a_j) meets exponents above 1, and derivation pairs occur
+    linked (one moves a variable an image of the other uses) and commuting,
+    linked and not commuting, and unlinked."""
     base = draw(st.sampled_from(_VALIDATION_BASES))
     ring = base.ring
     gens = ring.gens()
@@ -905,9 +907,16 @@ def _validation_data(draw):
         )
         return sum((m * c for m, c in terms), ring.zero())
 
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 4))
     a = tuple(poly() for _ in range(rank))
-    partials = tuple(BaseDerivation(ring, [poly() for _ in gens]) for _ in range(rank))
+    partials: list[BaseDerivation] = []
+    for _ in range(rank):
+        if partials and draw(st.booleans()):  # a multiple commutes, linked or not
+            scale = draw(st.sampled_from([-1, 2]))
+            images = [image * scale for image in draw(st.sampled_from(partials)).images]
+        else:
+            images = [poly() for _ in gens]
+        partials.append(BaseDerivation(ring, images))
     return GWPAData(base, a, partials)
 
 

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwpa import centre
+from gwpa.centre import CriterionVerdict
 from gwpa.engine import GWPAData, apply_sI
 from gwpa.errors import GwpaError
-from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
+from gwpa.gallery import GALLERY, gr_heisenberg, gr_usl2, p2n, resolve_gallery, univariate_family
 from gwpa.poisson import BaseDerivation, BasePoissonAlgebra
 from gwpa.poly import PolyRing
 from gwpa.simplicity import simplicity_check
+from gwpa.specfile import parse_algebra_spec
 
-from oracles import dense_coefficients, dense_remainder, derivation_chain_rule
+from oracles import check_verdict, dense_coefficients, dense_remainder, derivation_chain_rule
 from sampling import random_family, verdict_corpus, zero_bracket_data
 
 
@@ -292,9 +295,10 @@ CORPUS_STATUSES = Path(__file__).parent / "data" / "verdict_corpus.txt"
 
 
 def test_verdict_corpus_ratchet():
-    """Over the corpus, each undecided count stays within its limit, and
-    a recorded exact status never changes: a status may only move from
-    undecided to exact."""
+    """Over the corpus, each undecided count stays within its limit, a
+    recorded exact status never changes (a status may only move from
+    undecided to exact), and every exact verdict passes the independent
+    :func:`oracles.check_verdict`."""
     recorded = {}
     for line in CORPUS_STATUSES.read_text().splitlines():
         if line and not line.startswith("#"):
@@ -305,9 +309,10 @@ def test_verdict_corpus_ratchet():
     for seed in range(3):
         for index, A in enumerate(verdict_corpus(seed)):
             report = simplicity_check(A, 4, 3)
-            statuses = [
-                verdict.status for verdict in (report.condition1, report.condition2, report.condition3)
-            ] + [report.overall]
+            verdicts = (report.condition1, report.condition2, report.condition3)
+            for condition, verdict in enumerate(verdicts, start=1):
+                check_verdict(A, condition, verdict)
+            statuses = [verdict.status for verdict in verdicts] + [report.overall]
             for key, status, old in zip(CORPUS_UNDECIDED, statuses, recorded[seed, index]):
                 undecided[key] += status == "undecided"
                 if old != "undecided" and status != old:
@@ -315,3 +320,80 @@ def test_verdict_corpus_ratchet():
     assert len(recorded) == 600
     assert moved == []
     assert all(undecided[key] <= limit for key, limit in CORPUS_UNDECIDED.items()), undecided
+
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Every gwpa spec of the repository; noncommuting_3 is invalid on purpose.
+GWPA_SPECS = [
+    path.relative_to(ROOT).as_posix()
+    for folder in ("specs", "tests/specs", "bench/specs")
+    for path in sorted((ROOT / folder).glob("*.json"))
+    if json.loads(path.read_text())["kind"] == "gwpa" and path.name != "noncommuting_3.json"
+]
+GALLERY_GWPAS = [
+    name
+    for name in [entry.listed for entry in GALLERY] + ["p2n_3", "gr_heisenberg_2"]
+    if isinstance(resolve_gallery(name)[0], GWPAData)
+]
+
+
+def _spec(path: str):
+    return parse_algebra_spec((ROOT / path).read_text()).build()
+
+
+def _graded_centre() -> GWPAData:
+    """{x, y} = x, p = d/dy and a = 1: condition 3 fails on the central
+    x*X1, a witness of nonzero degree."""
+    ring = PolyRing(["x", "y"])
+    x, _ = ring.gens()
+    zero = ring.zero()
+    return GWPAData.checked(
+        BasePoissonAlgebra(ring, [[zero, x], [-x, zero]]),
+        (ring.one(),),
+        (BaseDerivation.partial(ring, "y"),),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name: resolve_gallery(name)[0] for name in GALLERY_GWPAS]
+    + [lambda path=path: _spec(path) for path in GWPA_SPECS]
+    + [_graded_centre],
+    ids=GALLERY_GWPAS + GWPA_SPECS + ["graded"],
+)
+def test_exact_verdicts_pass_the_independent_check(build):
+    A = build()
+    report = simplicity_check(A, 4, 3)
+    verdicts = (report.condition1, report.condition2, report.condition3)
+    for condition, verdict in enumerate(verdicts, start=1):
+        check_verdict(A, condition, verdict)
+
+
+def _forged(status, witness=None):
+    return CriterionVerdict(status=status, detail="forged", witness=witness)
+
+
+@pytest.mark.parametrize(
+    "build, condition, verdict",
+    [
+        # H1 + 1 does not divide d/dH1 (H1 + 1) = 1
+        (lambda: p2n(1), 1, _forged("fails", PolyRing(["H1"]).var("H1") + 1)),
+        # p = Z d/dH moves H by a nonconstant image, so no coordinate cover
+        (lambda: gr_heisenberg(1), 1, _forged("holds")),
+        # a = H1 and p(a) = 1 have no common zero and no common divisor H1
+        (lambda: p2n(1), 2, _forged("fails")),
+        (lambda: p2n(1), 2, _forged("fails", PolyRing(["H1"]).var("H1"))),
+        (lambda: p2n(1), 2, _forged("fails", PolyRing(["H1"]).zero())),
+        # a = H1 and p(a) = Z over Q[H1, Z] are genuinely multivariate
+        (lambda: gr_heisenberg(1), 2, _forged("holds")),
+        # {H, X1} = X1 is not zero, and the constant 1 is a unit
+        (lambda: gr_usl2(), 3, _forged("fails", gr_usl2().X(1))),
+        (lambda: gr_usl2(), 3, _forged("fails", gr_usl2().base_ring.one())),
+        # p(a) = 0 for a = 1, and the symplectic base has {H, Z} = 1
+        (lambda: univariate_family(["1"], ["1"]), 3, _forged("holds")),
+        (lambda: _spec("tests/specs/symplectic_1.json"), 3, _forged("holds")),
+    ],
+)
+def test_the_independent_check_refuses_forged_verdicts(build, condition, verdict):
+    with pytest.raises(AssertionError):
+        check_verdict(build(), condition, verdict)
