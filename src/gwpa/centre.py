@@ -183,6 +183,13 @@ def _constant_coordinate_cover(A: GWPAData) -> bool:
     return len({v for v, image in single if image.is_constant}) == A.base_ring.nvars
 
 
+def _moved_variables(A: GWPAData) -> set[int]:
+    """Indices of the base variables that some p_i moves or some nonzero
+    bracket entry involves (the entries are antisymmetric, so their rows
+    name them all); {x_j, -} is zero on the algebra for any other x_j."""
+    return {v for der in A.partials for v, _ in der.moved} | {j for j, _, _ in A.base.entries}
+
+
 def nonzero_alphas(rank: int, alpha_max: int) -> list[tuple[int, ...]]:
     """Lattice degrees with 0 < |alpha| <= alpha_max, deterministic order."""
     out = []
@@ -346,7 +353,11 @@ def poisson_ideal_closure(
 
     Starting from the generators, the span is closed under multiplication
     by monomials and under bracketing with the algebra generators, keeping
-    only results of filtration weight at most ``degree``.  Because every
+    only results of filtration weight at most ``degree``.  The brackets are
+    taken with X_i, Y_i and the base variables that some p_i moves or some
+    nonzero base bracket entry involves: for any other x_j, {x_j, X_i} =
+    p_i(x_j) X_i, {x_j, Y_i} = -p_i(x_j) Y_i and every {x_j, x_k} vanish,
+    so x_j brackets everything to zero.  Because every
     retained element genuinely belongs to the ideal, finding a nonzero
     constant certifies that the ideal is not proper.  More than
     ``MAX_COORDINATES`` coordinates of weight at most ``degree`` raise
@@ -405,7 +416,10 @@ def poisson_ideal_closure(
     # built on first need.  Multiplying by exactly that prefix, in order,
     # keeps the order of products, which decides which rows the span reports.
     multipliers: list[GWPAElement] = []
-    bracket_gens = A.generators()
+    moved, rank2 = _moved_variables(A), 2 * A.rank
+    bracket_gens = [
+        g for k, g in enumerate(A.generators()) if k < rank2 or k - rank2 in moved
+    ]
 
     stopped_early = False
     found_unit = unit_vec in tracker

@@ -301,9 +301,9 @@ def _graded_mul(A: GradedAlgebra, left: dict, right: dict) -> dict:
     for alpha, d in left.items():
         for beta, e in right.items():
             coeff = d * twist(alpha, e)
-            for i, (p, q) in enumerate(zip(alpha, beta)):
-                if p and q and (p > 0) != (q > 0):
-                    coeff = coeff * contract(i, p, q)
+            for i, p in enumerate(alpha):
+                if p * beta[i] < 0:
+                    coeff = coeff * contract(i, p, beta[i])
             _accumulate(out, tuple(map(add, alpha, beta)), coeff)
     return out
 

@@ -69,7 +69,7 @@ class PolyRing:
     degree and ``ring.units[i]`` is the key of the i-th variable.
     """
 
-    __slots__ = ("variables", "_index", "top", "units", "_shifts", "_weighers")
+    __slots__ = ("variables", "_index", "top", "units", "_shifts", "_weighers", "_zero")
 
     def __init__(self, variables: Sequence[str] = ()):
         variables = tuple(variables)
@@ -86,6 +86,7 @@ class PolyRing:
         self._shifts = tuple(range(self.top - FIELD_BITS, -1, -FIELD_BITS))
         self.units = tuple((1 << self.top) | (1 << s) for s in self._shifts)
         self._weighers: dict = {}  # weight tuple -> (weigher, uniform)
+        self._zero = _make(self, {})
 
     def _weigher(self, weights: Sequence[int]):
         """The weighted degree of a packed key, as a function, and whether
@@ -132,7 +133,9 @@ class PolyRing:
         return tuple([(key >> s) & _MASK for s in self._shifts])
 
     def zero(self) -> "Polynomial":
-        return _make(self, {})
+        """The zero polynomial: one object per ring, returned by every call,
+        so it must never be mutated."""
+        return self._zero
 
     def one(self) -> "Polynomial":
         return _make(self, {0: 1})
@@ -329,18 +332,20 @@ class Polynomial:
         if not t1 or not t2:
             return ring.zero()
         top = ring.top
-        check_degree((max(t1) >> top) + (max(t2) >> top))
         den = self._den * other._den
         if len(t1) > len(t2):  # the shorter factor drives the outer loop
             t1, t2 = t2, t1
         if len(t1) == 1:
             (k1, c1), = t1.items()
-            if not k1 and c1 == 1 and (rest := other if t1 is self._terms else self)._den == den:
+            if k1:
+                check_degree((k1 >> top) + (max(t2) >> top))
+            elif c1 == 1 and (rest := other if t1 is self._terms else self)._den == den:
                 return rest  # the factor t1 is the constant 1
             out = {k1 + k2: c1 * c2 for k2, c2 in t2.items()}
             if den == 1:
                 return _make(ring, out)
         else:
+            check_degree((max(t1) >> top) + (max(t2) >> top))
             out = {}
             get = out.get
             pairs = t2.items()

@@ -24,6 +24,7 @@ from .centre import (
     CriterionVerdict,
     _bounds,
     _constant_coordinate_cover,
+    _moved_variables,
     field_criterion,
     poisson_ideal_closure,
 )
@@ -74,10 +75,9 @@ def _in_univariate_family(A: GWPAData) -> bool:
 
 def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
     """Deterministic candidate generators of invariant principal ideals:
-    variables that every derivation of the family kills first, then
+    variables that every p_i and Hamiltonian derivation kills first, then
     derivation images, parameters and their derivatives.  Constants are
     never candidates."""
-    family = A.partials + A.base.hamiltonians
     candidates: list[Polynomial] = []
 
     def push(poly: Polynomial):
@@ -86,7 +86,7 @@ def _invariant_ideal_candidates(A: GWPAData) -> list[Polynomial]:
         if all(poly != seen for seen in candidates):
             candidates.append(poly)
 
-    moved = {v for der in family for v, _ in der.moved}
+    moved = _moved_variables(A)
     for j, g in enumerate(A.base_ring.gens()):
         if j not in moved:
             push(g)

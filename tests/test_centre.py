@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gwpa import centre
 from gwpa.centre import (
     _closure_coordinates,
+    _moved_variables,
     centre_component,
     constants_basis,
     coordinate_count,
@@ -19,15 +21,15 @@ from gwpa.centre import (
     nonzero_alphas,
     poisson_ideal_closure,
 )
-from gwpa.engine import GWPAElement
+from gwpa.engine import GWPAElement, validate_gwpa
 from gwpa.errors import GwpaError
 from gwpa.gallery import gr_heisenberg, gr_usl2, p2n, univariate_family
 from gwpa.parser import parse_element
 from gwpa.poly import PolyRing, monomial_keys
 from gwpa.simplicity import simplicity_check
 
-from oracles import dense_centre_kernel
-from sampling import heisenberg_based, so3_based, zero_bracket_data
+from oracles import bracket_split, dense_centre_kernel
+from sampling import heisenberg_based, nonzero_element, so3_based, zero_bracket_data
 
 
 def test_degree_enumeration():
@@ -255,26 +257,121 @@ def test_closure_answers_are_pinned():
         assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
 
 
+# The three baseline generator sets at the benchmark bounds, with their
+# (contains_unit, dimension, overflow, stopped_early) and basis digest.
+_BASELINE_CLOSURES = {
+    ("gr_heisenberg_2", "Z", 4): (
+        (False, 104, 160, False),
+        "4cf1948c4ac35f95fce7dc343d05cbe0702b7480c25748c32ba70476a9b218a4",
+    ),
+    ("p2n_2", "H1^2", 4): (
+        (True, 124, 0, True),
+        "82263e34acbe39c2346617d8a44dd0bbb53b5c8d34c3fa5a4c419f559a30a783",
+    ),
+    ("gr_usl2", "C", 6): (
+        (False, 91, 0, False),
+        "de5bcd646549e6ff18b50e79f9b8fd04d1ef2d111ef8c34e874d0f608e0a6c5a",
+    ),
+}
+_BASELINE_ALGEBRAS = {
+    "gr_heisenberg_2": lambda: gr_heisenberg(2), "p2n_2": lambda: p2n(2), "gr_usl2": gr_usl2,
+}
+
+
+def _assert_baseline_report(case, report):
+    counts, digest = _BASELINE_CLOSURES[case]
+    rendered = [str(b) for b in report.basis]
+    assert (
+        report.contains_unit, len(rendered), report.overflow, report.stopped_early
+    ) == counts
+    assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
+
+
 def test_baseline_closures_are_pinned():
-    # The three baseline generator sets at the benchmark bounds: Z overflows,
-    # H1^2 finds a unit and stops early, C explores the whole bounded span.
-    # The multiplier loop must keep the order of multiplications, since the
-    # queue order decides which rows the span reports.
-    cases = [
-        (gr_heisenberg(2), "Z", 4, False, 104, 160, False,
-         "4cf1948c4ac35f95fce7dc343d05cbe0702b7480c25748c32ba70476a9b218a4"),
-        (p2n(2), "H1^2", 4, True, 124, 0, True,
-         "82263e34acbe39c2346617d8a44dd0bbb53b5c8d34c3fa5a4c419f559a30a783"),
-        (gr_usl2(), "C", 6, False, 91, 0, False,
-         "de5bcd646549e6ff18b50e79f9b8fd04d1ef2d111ef8c34e874d0f608e0a6c5a"),
-    ]
-    for A, generator, bound, unit, dimension, overflow, early, digest in cases:
+    # Z overflows, H1^2 finds a unit and stops early, C explores the whole
+    # bounded span.  The multiplier loop must keep the order of
+    # multiplications, since the queue order decides which rows the span
+    # reports.
+    for case in _BASELINE_CLOSURES:
+        token, generator, bound = case
+        A = _BASELINE_ALGEBRAS[token]()
         report = poisson_ideal_closure(A, [parse_element(generator, A)], bound)
-        rendered = [str(b) for b in report.basis]
-        assert (
-            report.contains_unit, len(rendered), report.overflow, report.stopped_early
-        ) == (unit, dimension, overflow, early)
-        assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == digest
+        _assert_baseline_report(case, report)
+
+
+@pytest.mark.parametrize(
+    "case", [("gr_usl2", "C", 6), ("gr_heisenberg_2", "Z", 4)], ids=["C", "Z"]
+)
+def test_closure_takes_no_bracket_with_a_central_variable(monkeypatch, case):
+    # C and Z are moved by no p_i and sit in no bracket entry, so a closure
+    # never brackets with them; the reports stay the pinned ones.
+    token, generator, bound = case
+    A = _BASELINE_ALGEBRAS[token]()
+    receivers = []
+    bracket = GWPAElement.bracket
+    monkeypatch.setattr(
+        GWPAElement, "bracket", lambda u, v: receivers.append(u) or bracket(u, v)
+    )
+    central = parse_element(generator, A)
+    report = poisson_ideal_closure(A, [central], bound)
+    assert receivers and central not in receivers
+    _assert_baseline_report(case, report)
+
+
+# Zero-bracket data over H, Z, W: coordinate derivations d/dv, each
+# parameter a sum of monomials in the variables no other derivation moves.
+@st.composite
+def _zero_bracket_draws(draw):
+    names = ["H", "Z", "W"]
+    movers = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+    params = []
+    for i in range(len(movers)):
+        free = [v for v in names if v not in movers[:i] + movers[i + 1:]]
+        monomials = ["1"] + free + [v + "^2" for v in free]
+        params.append(" + ".join(draw(st.lists(st.sampled_from(monomials), unique=True))) or "0")
+    return zero_bracket_data(names, params, movers)
+
+
+_GALLERY_POISSON = [p2n(1), p2n(2), gr_usl2(), gr_heisenberg(1), gr_heisenberg(2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_GALLERY_POISSON + [so3_based(), heisenberg_based()]),
+              _zero_bracket_draws()),
+    st.integers(0, 2 ** 16),
+)
+def test_variables_outside_the_moved_set_bracket_to_zero(A, seed):
+    # The premise of the closure's skip, checked with the Leibniz oracle:
+    # a variable outside the set brackets every element to zero, and one
+    # inside it has a nonzero bracket with some generator.
+    moved = _moved_variables(A)
+    gens = A.generators()
+    rng = random.Random(seed)
+    samples = [nonzero_element(A, rng, bound=3) for _ in range(3)]
+    for j, x in enumerate(A.base_ring.gens()):
+        u = A.scalar(x)
+        if j in moved:
+            assert any(not bracket_split(u, g).is_zero for g in gens)
+        else:
+            assert all(bracket_split(u, v).is_zero for v in gens + samples)
+
+
+def test_every_ring_shares_one_untouched_zero():
+    # Every caller gets the same zero object, so an in-place edit of any
+    # returned polynomial would show here after the usual work.
+    for A in (gr_usl2(), p2n(2), so3_based()):
+        ring = A.base_ring
+        zero = ring.zero()
+        assert ring.zero() is zero
+        u, v = A.generators()[0], A.generators()[-1]
+        poisson_ideal_closure(A, [v * v], 3)
+        u.bracket(v * u)
+        u * v
+        validate_gwpa(A)
+        centre_component(A, (0,) * A.rank, 3)
+        assert ring.zero() is zero
+        assert (zero._terms, zero._den) == ({}, 1)
 
 
 def test_closure_finds_the_unit_through_a_multiplier(monkeypatch):
