@@ -316,9 +316,10 @@ def _closure_coordinates(A: GWPAData, bound: int):
     return coords, index
 
 
-def _element_to_vector(u: GWPAElement, index) -> dict[int, int] | None:
+def _element_to_vector(u: GWPAElement, index, shift: int = 0) -> dict[int, int] | None:
     """The coordinates of ``u`` times the lcm of its denominators, or None
-    when a term has no coordinate."""
+    when a term has no coordinate.  With ``shift`` the packed key of x^k,
+    they are those of x^k ``u``: a monomial product adds packed keys."""
     scale = 1
     for poly in u._terms.values():
         if poly._den != 1:
@@ -329,7 +330,7 @@ def _element_to_vector(u: GWPAElement, index) -> dict[int, int] | None:
             slot = index[alpha]
             factor = scale // poly._den
             for key, coeff in poly._terms.items():
-                vec[slot[key]] = coeff * factor
+                vec[slot[key + shift]] = coeff * factor
     except KeyError:
         return None
     return vec
@@ -368,8 +369,10 @@ def poisson_ideal_closure(
     reported basis divides out.  :meth:`Echelon.insert` adds the same row
     for any nonzero multiple of a vector, so the products and brackets of
     the multiple give the span exactly the rows they would give unscaled.
-    The monomial multipliers are built on first need, up to the largest
-    weight budget that a queued element reaches.
+    Each queued element c takes one graded product v_beta c per lattice
+    degree beta that its weight budget reaches; the algebra is commutative
+    and associative, so a multiplier x^k v_beta gives x^k (v_beta c), read
+    off v_beta c with every packed key shifted by the key of x^k.
     """
     (degree,) = _bounds("closure bound must be nonnegative", degree)
     _check_size(
@@ -377,21 +380,22 @@ def poisson_ideal_closure(
         "coordinates in a closure", "degree", degree,
     )
     coords, index = _closure_coordinates(A, degree)
-    ring = A.base_ring
+    one = A.base_ring.one()
     zero = A.zero()
     tracker = Echelon()
     overflow = 0
     queue: deque[GWPAElement] = deque()
     unit_vec = {0: 1}  # coordinate 0 is the constant monomial at degree zero
 
-    def admit(u: GWPAElement) -> bool:
-        """Add ``u`` to the span; True when it contributed a new row.  The
-        index holds every coordinate of weight at most ``degree``, so a
-        heavier ``u`` has no vector and counts as one overflow."""
+    def admit(u: GWPAElement, shift: int = 0) -> bool:
+        """Add x^k ``u`` to the span, where ``shift`` is the packed key of
+        x^k; True when it contributed a new row.  The index holds every
+        coordinate of weight at most ``degree``, so a heavier product has
+        no vector and counts as one overflow."""
         nonlocal overflow
         if not u._terms:
             return False
-        vec = _element_to_vector(u, index)
+        vec = _element_to_vector(u, index, shift)
         if vec is None:
             overflow += 1
             return False
@@ -401,10 +405,10 @@ def poisson_ideal_closure(
         queue.append(_vector_to_element(zero, row, coords))
         return True
 
-    def reaches_unit(u: GWPAElement) -> bool:
+    def reaches_unit(u: GWPAElement, shift: int = 0) -> bool:
         # The span can only gain the unit with a new row, and any span
         # holding it has a pivot in column 0.
-        return admit(u) and 0 in tracker.rows and unit_vec in tracker
+        return admit(u, shift) and 0 in tracker.rows and unit_vec in tracker
 
     for g in gens:
         if g.algebra != A:
@@ -412,10 +416,9 @@ def poisson_ideal_closure(
         admit(g)
 
     # The multipliers are the monomials of weight at least one, coords[1:],
-    # ascending in weight, so those within a budget are a prefix of them,
-    # built on first need.  Multiplying by exactly that prefix, in order,
-    # keeps the order of products, which decides which rows the span reports.
-    multipliers: list[GWPAElement] = []
+    # ascending in weight, so those within a budget are a prefix of them.
+    # Multiplying by exactly that prefix, in order, keeps the order of
+    # products, which decides which rows the span reports.
     moved, rank2 = _moved_variables(A), 2 * A.rank
     bracket_gens = [
         g for k, g in enumerate(A.generators()) if k < rank2 or k - rank2 in moved
@@ -427,10 +430,12 @@ def poisson_ideal_closure(
         current = queue.popleft()
         budget = degree - current.total_degree
         count = bisect_left(coords, (budget + 1,)) - 1  # weights 1 .. budget
-        for _, alpha, key in coords[len(multipliers) + 1 : count + 1]:
-            multipliers.append(zero._new({alpha: _make(ring, {key: 1})}))
-        for mult in islice(multipliers, count):
-            if reaches_unit(mult * current):
+        products = {A.zero_alpha: current}  # beta -> v_beta * current
+        for _, beta, key in islice(coords, 1, count + 1):
+            product = products.get(beta)
+            if product is None:
+                product = products[beta] = zero._new({beta: one}) * current
+            if reaches_unit(product, key):
                 found_unit = True
                 break
         if not found_unit:

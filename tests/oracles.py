@@ -23,6 +23,9 @@ arithmetic on exponent tuples and Fraction coefficients that the packed
 :class:`gwpa.poly.Polynomial` kernel must agree with.  :class:`FractionEchelon`
 and :func:`fraction_rref` are the eliminator on Fraction rows, normalized
 to pivot one, that the integer :class:`gwpa.linalg.Echelon` must agree with.
+:func:`closure_by_multipliers` is a bounded ideal closure with one element
+product per monomial multiplier and its span in :class:`FractionEchelon`,
+the reference for the closure's per-degree products and key shifts.
 :func:`dense_centre_kernel` is a centre slice from the dense Fraction matrix
 of all its conditions, the reference for the sparse kernel and its
 shortcuts.  :func:`dense_univariate_gcd` is Euclid's algorithm on dense
@@ -442,6 +445,83 @@ def fraction_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
                 _axpy(other, other[pcol], prow)
     columns = range(len(matrix[0]))
     return [[echelon.rows[p].get(col, 0) for col in columns] for p in pivots], pivots
+
+
+def closure_by_multipliers(A: GWPAData, gens, degree: int) -> tuple:
+    """(contains_unit, basis, overflow, stopped_early) of the bounded
+    Poisson ideal closure, the reference for
+    :func:`gwpa.centre.poisson_ideal_closure`: one element product per
+    monomial multiplier x^k v_beta of weight within the budget of each queued
+    element, in coordinate order, and brackets with every algebra generator
+    (the ones the library skips bracket everything to zero).  The span is a :class:`FractionEchelon`, and coordinates are sorted by
+    (weight, alpha, total degree, exponent tuple), which is the library's
+    order (its packed keys sort as the last two)."""
+    ring = A.base_ring
+    alphas = [
+        alpha for alpha in product(range(-degree, degree + 1), repeat=A.rank)
+        if sum(map(abs, alpha)) <= degree
+    ]
+    exps_list = [e for e in product(range(degree + 1), repeat=ring.nvars) if sum(e) <= degree]
+    coords = sorted(
+        (sum(map(abs, alpha)) + sum(e), alpha, sum(e), e)
+        for alpha in alphas
+        for e in exps_list
+        if sum(map(abs, alpha)) + sum(e) <= degree
+    )
+    index = {(alpha, e): i for i, (_, alpha, _, e) in enumerate(coords)}
+
+    def to_vector(u: GWPAElement):
+        try:
+            return {
+                index[(alpha, e)]: c for alpha, poly in u.items() for e, c in poly.items()
+            }
+        except KeyError:
+            return None
+
+    def to_element(row: dict) -> GWPAElement:
+        terms: dict = {}
+        for i, c in row.items():
+            _, alpha, _, e = coords[i]
+            terms[alpha] = terms.get(alpha, ring.zero()) + ring.monomial(e, c)
+        return A.element(terms)
+
+    tracker, queue, overflow = FractionEchelon(), [], 0
+    unit = {0: 1}
+
+    def admit(u: GWPAElement) -> bool:
+        nonlocal overflow
+        if u.is_zero:
+            return False
+        vec = to_vector(u)
+        if vec is None:
+            overflow += 1
+            return False
+        row = tracker.insert(vec)
+        if row is None:
+            return False
+        queue.append(to_element(row))
+        return tracker.reduce(unit) is None
+
+    for g in gens:
+        admit(g)
+    found = tracker.reduce(unit) is None
+    stopped_early = False
+    multipliers = [A.element({alpha: ring.monomial(e)}) for _, alpha, _, e in coords[1:]]
+    weights = [w for w, _, _, _ in coords[1:]]
+    while queue and not found:
+        current = queue.pop(0)
+        budget = degree - current.total_degree
+        for weight, mult in zip(weights, multipliers):
+            if weight > budget:
+                break
+            if admit(mult * current):
+                found = True
+                break
+        if not found:
+            found = any(admit(g.bracket(current)) for g in A.generators())
+        stopped_early = found
+    basis = tuple(to_element(row) for _, row in sorted(tracker.rows.items()))
+    return found, basis, overflow, stopped_early
 
 
 def dense_centre_kernel(A: GWPAData, alpha: Sequence[int], degree: int) -> tuple:

@@ -28,7 +28,7 @@ from gwpa.parser import parse_element
 from gwpa.poly import PolyRing, monomial_keys
 from gwpa.simplicity import simplicity_check
 
-from oracles import bracket_split, dense_centre_kernel
+from oracles import bracket_split, closure_by_multipliers, dense_centre_kernel
 from sampling import heisenberg_based, nonzero_element, so3_based, zero_bracket_data
 
 
@@ -452,3 +452,59 @@ def test_closure_basis_members_lie_in_ideal_span():
     rendered = {str(b) for b in report.basis}
     assert "X1" in rendered
     assert "H1" in rendered
+
+
+def test_closure_overflows_through_a_product():
+    # Y1*X1 = H1^3 weighs 3, so at bound 2 the first multiplier of X1
+    # already overflows before any bracket is taken.
+    A = univariate_family(["H1^3"], ["1"])
+    answers = {2: (False, 6, 5), 3: (False, 13, 12), 4: (False, 22, 25)}
+    for bound, answer in answers.items():
+        report = poisson_ideal_closure(A, [A.X(1)], bound)
+        assert (report.contains_unit, len(report.basis), report.overflow) == answer
+
+
+def test_closure_takes_one_product_per_lattice_degree(monkeypatch):
+    # Each queued element takes one graded product v_beta * u per nonzero
+    # beta within its weight budget, and reads the products with every
+    # base monomial x^k off it; one product per monomial multiplier would
+    # take 875 here.
+    A = gr_usl2()
+    generator = parse_element("C", A)
+    queued, products = [], []
+    to_element = centre._vector_to_element
+
+    def spy(zero, row, coords, *den):
+        element = to_element(zero, row, coords, *den)
+        if not den:  # a queued row, not a reported one
+            queued.append(element)
+        return element
+
+    mul = GWPAElement.__mul__
+    monkeypatch.setattr(centre, "_vector_to_element", spy)
+    monkeypatch.setattr(GWPAElement, "__mul__", lambda u, v: products.append(u) or mul(u, v))
+    report = poisson_ideal_closure(A, [generator], 6)
+    assert not report.stopped_early  # so every queued element was taken
+    reach = sum(coordinate_count(A.rank, 0, 6 - u.total_degree) - 1 for u in queued)
+    assert len(products) == 210 <= reach
+
+
+_CLOSURE_ALGEBRAS = [
+    gr_usl2(), gr_heisenberg(1), gr_heisenberg(2), p2n(2), so3_based(), heisenberg_based(),
+    univariate_family(["H1^3 - H1"], ["1"]), univariate_family(["H1^3"], ["1"]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CLOSURE_ALGEBRAS), st.integers(0, 2 ** 16), st.integers(1, 4))
+def test_closure_matches_one_product_per_multiplier(A, seed, bound):
+    # The bounded closure against its reference with one element product per
+    # monomial multiplier, generators within the bound.
+    rng = random.Random(seed)
+    gens = [nonzero_element(A, rng, bound=bound, terms=2) for _ in range(rng.randint(1, 2))]
+    report = poisson_ideal_closure(A, gens, bound)
+    unit, basis, overflow, stopped_early = closure_by_multipliers(A, gens, bound)
+    assert (report.contains_unit, report.overflow, report.stopped_early) == (
+        unit, overflow, stopped_early
+    )
+    assert [str(b) for b in report.basis] == [str(b) for b in basis]
